@@ -12,7 +12,7 @@ Per kernel launch, the measurement pipeline follows Section 6.1, as a
 1. access records are deposited into the bounded profiling buffer
    (flush count feeds the overhead model);
 2. their byte intervals are tagged LOAD/STORE once, warp-compacted
-   once (kind-preserving), and merged with one Figure 4 endpoint sweep
+   once (kind-preserving), and merged by one kind-aware Figure 4 merge
    that yields the combined, read-only, and write-only coverages
    together;
 3. all three coverages are routed to data objects in one batched
@@ -626,8 +626,8 @@ class DataCollector(RuntimeListener):
         self.counters.buffer_flushes = self.buffer.flushes
 
         # Interval pipeline, one pass: kind-tagged raw intervals ->
-        # kind-preserving warp compaction -> one endpoint sweep that
-        # merges the combined/read/write coverages together.
+        # kind-preserving warp compaction -> one kind-aware merge of the
+        # combined/read/write coverages.
         sweep_span = (
             telemetry.tracer().begin("collector.sweep", records=len(records))
             if telemetry.ENABLED
@@ -635,11 +635,29 @@ class DataCollector(RuntimeListener):
         )
         raw, kinds = intervals_from_accesses_kinds(records)
         self.counters.raw_intervals += int(raw.shape[0])
+        compact_span = (
+            telemetry.tracer().begin(
+                "intervals.compact", intervals=int(raw.shape[0])
+            )
+            if telemetry.ENABLED
+            else None
+        )
         compacted, compacted_kinds = (
             warp_compact_kinds(raw, kinds) if raw.shape[0] else (raw, kinds)
         )
+        if compact_span is not None:
+            compact_span.end()
         self.counters.compacted_intervals += int(compacted.shape[0])
+        merge_span = (
+            telemetry.tracer().begin(
+                "intervals.merge", intervals=int(compacted.shape[0])
+            )
+            if telemetry.ENABLED
+            else None
+        )
         merged = merge_parallel_kinds(compacted, compacted_kinds)
+        if merge_span is not None:
+            merge_span.end()
         self.counters.merged_intervals += int(merged.combined.shape[0])
         self.counters.interval_sweeps += 1
         if sweep_span is not None:

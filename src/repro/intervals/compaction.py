@@ -19,9 +19,20 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from repro.intervals.interval import as_interval_array
+from repro.errors import InvalidValueError
+from repro.intervals.interval import as_interval_array, as_kinded_interval_array
+from repro.intervals.parallel import sorted_endpoint_runs
 
 WARP_SIZE = 32
+
+#: Compaction keys hold the kind above this bit, the address offset below.
+_KIND_SHIFT = 62
+_OFFSET_MASK = np.uint64((1 << _KIND_SHIFT) - 1)
+
+
+def _check_warp_size(warp_size: int) -> None:
+    if warp_size < 1:
+        raise InvalidValueError(f"warp_size must be >= 1, got {warp_size}")
 
 
 def warp_compact(intervals: Iterable, warp_size: int = WARP_SIZE) -> np.ndarray:
@@ -30,6 +41,7 @@ def warp_compact(intervals: Iterable, warp_size: int = WARP_SIZE) -> np.ndarray:
     Interval order is preserved per the lane order within each warp; no
     merging happens across chunk boundaries.
     """
+    _check_warp_size(warp_size)
     arr = as_interval_array(intervals)
     n = arr.shape[0]
     if n == 0:
@@ -54,91 +66,52 @@ def warp_compact(intervals: Iterable, warp_size: int = WARP_SIZE) -> np.ndarray:
 
 def warp_compact_kinds(
     intervals: Iterable,
-    kinds: np.ndarray,
+    kinds: Iterable,
     warp_size: int = WARP_SIZE,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Kind-preserving warp compaction for the single-pass pipeline.
 
-    Like :func:`warp_compact`, but runs within warp chunks are only
-    collapsed when their LOAD/STORE flags are equal, so the per-kind
-    coverage downstream of the merge is exactly that of the raw stream.
-    (Hardware compaction has the same property for free: it operates on
-    the 32 lanes of one memory instruction, which share a kind.)
+    Like :func:`warp_compact`, but runs only collapse lanes of equal
+    LOAD/STORE flag, so per-kind coverage survives (as in hardware,
+    where the 32 lanes of one memory instruction share a kind).
+    Returns the compacted ``(m, 2)`` array and its flags: per chunk, per
+    ascending kind, runs by start.  Invalid flags, or a stream spanning
+    ``2**62`` bytes or more, raise ``InvalidValueError``.
 
-    Returns the compacted ``(m, 2)`` array and its parallel flags.
-    The whole pass is vectorized across chunks — one padded 2-D sort
-    and one flattened run-reduction, no Python loop over the stream —
-    part of the hot-path rework this module's callers rely on.
+    Each lane becomes a start key ``kind << 62 | (start - min)`` and an
+    end key ``kind << 62 | (end - min)``.  Sorting each warp row of start
+    keys and, separately, of end keys orders lanes by (kind, address)
+    with no permutation; runs then close by the rule of
+    :func:`~repro.intervals.parallel.merge_parallel_kinds`, and the kind
+    bits turn every kind change into a break.
     """
-    arr = as_interval_array(intervals)
-    kinds = np.asarray(kinds, dtype=np.uint8)
+    _check_warp_size(warp_size)
+    arr, kinds = as_kinded_interval_array(intervals, kinds)
     n = arr.shape[0]
-    if kinds.shape[0] != n:
-        raise ValueError(
-            f"kinds ({kinds.shape[0]}) must be parallel to intervals ({n})"
-        )
     if n == 0:
         return arr, kinds
-
-    # Lay the stream out as (nchunks, warp_size) rows so every chunk is
-    # processed at once.  Padding lanes get kind 255 and a maximal start
-    # so the row sort pushes them past every real lane, and end 0 so
-    # they never extend a run's maximum.
-    nchunks = -(-n // warp_size)
-    padded = nchunks * warp_size
-    starts = np.full(padded, np.iinfo(np.uint64).max, dtype=np.uint64)
-    ends = np.zeros(padded, dtype=np.uint64)
-    kvals = np.full(padded, 255, dtype=np.uint8)
-    starts[:n] = arr[:, 0]
-    ends[:n] = arr[:, 1]
-    kvals[:n] = kinds
-    starts = starts.reshape(nchunks, warp_size)
-    ends = ends.reshape(nchunks, warp_size)
-    kvals = kvals.reshape(nchunks, warp_size)
-
-    # Per-row lexicographic (kind, start) order via two stable argsorts:
-    # sort each row by start, then stably by kind, matching the scalar
-    # path's start-sorted, per-ascending-kind sub-streams.
-    by_start = np.argsort(starts, axis=1, kind="stable")
-    order = np.take_along_axis(
-        by_start,
-        np.argsort(
-            np.take_along_axis(kvals, by_start, axis=1), axis=1, kind="stable"
-        ),
-        axis=1,
+    base = arr[:, 0].min()
+    nrows = -(-n // warp_size)
+    # Padding lanes are all ones: they sort past every real lane of the
+    # last row, i.e. past flat position n, and are sliced off below.
+    keys = np.full((2, nrows * warp_size), np.iinfo(np.uint64).max, dtype=np.uint64)
+    np.subtract(arr.T, base, out=keys[:, :n])
+    if keys[1, :n].max() > _OFFSET_MASK:
+        raise InvalidValueError("compaction needs a stream span below 2**62")
+    keys[:, :n] |= kinds.astype(np.uint64) << np.uint64(_KIND_SHIFT)
+    keys = keys.reshape(2, nrows, warp_size)
+    keys.sort(axis=2)
+    starts, ends = keys
+    new_run = np.empty(starts.shape, dtype=bool)
+    new_run[:, 0] = True
+    np.less(ends[:, :-1], starts[:, 1:], out=new_run[:, 1:])
+    out = sorted_endpoint_runs(
+        starts.ravel()[:n], ends.ravel()[:n], new_run.ravel()[:n]
     )
-    s = np.take_along_axis(starts, order, axis=1)
-    e = np.take_along_axis(ends, order, axis=1)
-    k = np.take_along_axis(kvals, order, axis=1)
-
-    # A new run begins at each (row, kind) segment head, and wherever a
-    # start exceeds the running maximum end of its segment so far.  The
-    # running maximum is a row cummax masked to one kind at a time;
-    # lanes of other kinds contribute 0, and each kind's lanes are
-    # contiguous after the sort, so no reset logic is needed.
-    prev_kind = np.full_like(k, 255)
-    prev_kind[:, 1:] = k[:, :-1]
-    breaks = np.zeros(k.shape, dtype=bool)
-    for flag in np.unique(kinds):
-        mask = k == flag
-        run_end = np.maximum.accumulate(np.where(mask, e, 0), axis=1)
-        prev_end = np.zeros_like(run_end)
-        prev_end[:, 1:] = run_end[:, :-1]
-        breaks |= mask & ((prev_kind != flag) | (s > prev_end))
-
-    # Flattened row-major, head order is exactly the scalar output
-    # order: per chunk, per ascending kind, runs by start.  reduceat
-    # segments may swallow a row's trailing padding (end 0, harmless);
-    # they never cross into the next row's lanes because each row's
-    # first real lane is always a head.
-    heads = np.flatnonzero(breaks.ravel())
-    flat_ends = e.ravel()
-    return (
-        np.stack(
-            [s.ravel()[heads], np.maximum.reduceat(flat_ends, heads)], axis=1
-        ).astype(np.uint64),
-        k.ravel()[heads],
-    )
+    out_kinds = (out[:, 0] >> np.uint64(_KIND_SHIFT)).astype(np.uint8)
+    out &= _OFFSET_MASK
+    out += base
+    return out, out_kinds
 
 
 def compaction_ratio(raw_count: int, compacted_count: int) -> float:

@@ -103,6 +103,19 @@ def intervals_from_accesses_kinds(
     return np.concatenate(parts, axis=0), np.concatenate(kind_parts)
 
 
+def as_kinded_interval_array(
+    intervals: Iterable, kinds: Iterable
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Normalize intervals plus parallel flags, each exactly LOAD or STORE."""
+    arr = as_interval_array(intervals)
+    flags = np.asarray(kinds)
+    if flags.shape != (arr.shape[0],):
+        raise InvalidValueError(f"kinds {flags.shape} not parallel to {arr.shape}")
+    if np.any((flags != KIND_LOAD) & (flags != KIND_STORE)):
+        raise InvalidValueError("every kind flag must be KIND_LOAD or KIND_STORE")
+    return arr, flags.astype(np.uint8, copy=False)
+
+
 def merge_reference(intervals: Iterable) -> List[Interval]:
     """Brute-force reference merge used as the test oracle.
 

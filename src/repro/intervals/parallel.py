@@ -20,6 +20,12 @@ primitives as the stand-in for GPU-wide parallel sort / prefix scan:
 Every step is a data-parallel primitive (sort, map, scan, scatter), so
 the GPU implementation in the paper runs in O(log N) depth with radix
 sort; the numpy version preserves the structure and the results.
+
+The collector's :func:`merge_parallel_kinds` reaches the same runs
+without carrying a permutation through the sort: it sorts starts and
+ends separately and closes a run wherever the i-th end lies below the
+(i+1)-th start.  :func:`merge_parallel` stays as published and is its
+differential oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +35,11 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.intervals.interval import KIND_LOAD, KIND_STORE, as_interval_array
+from repro.intervals.interval import (
+    KIND_LOAD,
+    as_interval_array,
+    as_kinded_interval_array,
+)
 
 
 def merge_parallel(intervals: Iterable) -> np.ndarray:
@@ -82,7 +92,7 @@ def merge_parallel(intervals: Iterable) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KindedMerge:
-    """The three merged coverages derived from one endpoint sweep."""
+    """Merged coverages of one tagged stream; fields may share an array."""
 
     combined: np.ndarray
     reads: np.ndarray
@@ -93,61 +103,63 @@ def _empty_intervals() -> np.ndarray:
     return np.empty((0, 2), dtype=np.uint64)
 
 
-def merge_parallel_kinds(intervals: Iterable, kinds: np.ndarray) -> KindedMerge:
-    """Single-sweep kind-aware merge (the collector's hot path).
+def sorted_endpoint_runs(
+    starts: np.ndarray, ends: np.ndarray, new_run: np.ndarray
+) -> np.ndarray:
+    """Runs of a non-empty endpoint stream, each side sorted per segment.
 
-    One lexicographic endpoint sort — the expensive step of the Figure 4
-    algorithm — is shared by three prefix scans whose markers are masked
-    by the interval kind flags.  The results are bit-identical to running
-    :func:`merge_parallel` three times on the full stream, the LOAD-only
-    subset, and the STORE-only subset, but the sort runs once instead of
-    three times and the stream is traversed once.
-
-    ``kinds`` is a ``uint8`` vector parallel to ``intervals`` holding
-    :data:`~repro.intervals.interval.KIND_LOAD` /
-    :data:`~repro.intervals.interval.KIND_STORE` bit flags.
+    ``new_run`` is true at each segment head and at ``i + 1`` wherever
+    ``ends[i] < starts[i + 1]``; a run ends just before the next head.
     """
-    arr = as_interval_array(intervals)
-    kinds = np.asarray(kinds, dtype=np.uint8)
-    n = arr.shape[0]
-    if kinds.shape[0] != n:
-        raise ValueError(
-            f"kinds ({kinds.shape[0]}) must be parallel to intervals ({n})"
-        )
-    if n == 0:
-        return KindedMerge(
-            _empty_intervals(), _empty_intervals(), _empty_intervals()
-        )
+    heads = np.flatnonzero(new_run)
+    out = np.empty((heads.size, 2), dtype=np.uint64)
+    out[:, 0] = starts[heads]
+    out[:-1, 1] = ends[heads[1:] - 1]
+    out[-1, 1] = ends[-1]
+    return out
 
-    # One endpoint sort, as in Figure 4 steps 1-2 (starts sort before
-    # ends at equal addresses so touching intervals merge).
-    addresses = np.concatenate([arr[:, 0], arr[:, 1]])
-    is_end = np.concatenate(
-        [np.zeros(n, dtype=np.uint8), np.ones(n, dtype=np.uint8)]
-    )
-    signs = np.concatenate(
-        [np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)]
-    )
-    flags = np.concatenate([kinds, kinds])
-    order = np.lexsort((is_end, addresses))
-    addresses = addresses[order]
-    signs = signs[order]
-    flags = flags[order]
 
-    def coverage_runs(markers: np.ndarray) -> np.ndarray:
-        """Maximal covered runs of a +1/-1/0 marker stream (steps 3-9)."""
-        scanned = np.cumsum(markers)
-        entered = scanned - markers
-        start_mask = (entered == 0) & (scanned > 0)
-        end_mask = (scanned == 0) & (entered > 0)
-        starts = addresses[start_mask]
-        ends = addresses[end_mask]
-        if starts.size == 0:
-            return _empty_intervals()
-        return np.stack([starts, ends], axis=1).astype(np.uint64)
+def _coverage(arr: np.ndarray) -> np.ndarray:
+    """Maximal runs of ``arr`` from its sorted starts and sorted ends.
 
-    return KindedMerge(
-        combined=coverage_runs(signs),
-        reads=coverage_runs(signs * ((flags & KIND_LOAD) != 0)),
-        writes=coverage_runs(signs * ((flags & KIND_STORE) != 0)),
-    )
+    The i+1 smallest ends each lie above their own start, so at least
+    i+1 starts precede ``ends[i]``.  Coverage therefore drops to zero
+    at ``ends[i]`` exactly when ``ends[i] < starts[i + 1]``; an equal
+    start touches and continues the run, as in Figure 4's start-before-
+    end tie order.  No prefix scan and no permutation are needed, and
+    the comparison works on the full uint64 range.
+    """
+    if arr.shape[0] == 0:
+        return _empty_intervals()
+    starts = np.sort(arr[:, 0])
+    ends = np.sort(arr[:, 1])
+    new_run = np.empty(starts.shape, dtype=bool)
+    new_run[0] = True
+    np.less(ends[:-1], starts[1:], out=new_run[1:])
+    return sorted_endpoint_runs(starts, ends, new_run)
+
+
+def merge_parallel_kinds(intervals: Iterable, kinds: Iterable) -> KindedMerge:
+    """Kind-aware merge (the collector's hot path).
+
+    Returns the combined, LOAD-only and STORE-only coverages,
+    bit-identical to :func:`merge_parallel` on the full stream and on
+    each kind's subset; :func:`merge_parallel` stays the published
+    Figure 4 algorithm and is this function's differential oracle.
+    Each kind's runs come from two plain sorts (:func:`_coverage`).
+    Coverage is a set union, so the combined runs merge the two short
+    per-kind run lists; a single-kind stream reuses its one coverage.
+    ``kinds`` holds ``KIND_LOAD`` or ``KIND_STORE`` per interval; any
+    other flag raises :class:`~repro.errors.InvalidValueError`.
+    """
+    arr, kinds = as_kinded_interval_array(intervals, kinds)
+    is_load = kinds == KIND_LOAD
+    if is_load.all():
+        reads = _coverage(arr)
+        return KindedMerge(reads, reads, _empty_intervals())
+    if not is_load.any():
+        writes = _coverage(arr)
+        return KindedMerge(writes, _empty_intervals(), writes)
+    reads = _coverage(arr[is_load])
+    writes = _coverage(arr[~is_load])
+    return KindedMerge(_coverage(np.concatenate([reads, writes])), reads, writes)

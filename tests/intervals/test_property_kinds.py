@@ -1,10 +1,10 @@
 """Property tests for the kind-aware single-pass interval pipeline.
 
-The single endpoint sweep of ``merge_parallel_kinds`` must be
-extensionally identical to running the Figure 4 merge three times —
-full stream, LOAD-only subset, STORE-only subset — and to the
-byte-level reference, for *any* tagged interval multiset.  These are
-the invariants the collector's single-pass launch path rests on.
+The sort-only ``merge_parallel_kinds`` must be extensionally identical
+to running the Figure 4 merge three times — full stream, LOAD-only
+subset, STORE-only subset — and to the byte-level reference, for *any*
+tagged interval multiset at any base address.  These are the
+invariants the collector's single-pass launch path rests on.
 """
 
 import numpy as np
@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.intervals.compaction import warp_compact_kinds
+from repro.errors import InvalidValueError
+from repro.intervals.compaction import warp_compact, warp_compact_kinds
 from repro.intervals.interval import KIND_LOAD, KIND_STORE, merge_reference
 from repro.intervals.parallel import merge_parallel, merge_parallel_kinds
 
@@ -24,21 +25,31 @@ def _merge_subset(arr, kinds, bit):
     return merge_parallel(subset) if subset.size else EMPTY
 
 
-tagged_strategy = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=2000),
-        st.integers(min_value=1, max_value=64),
-        st.sampled_from([KIND_LOAD, KIND_STORE]),
+#: Stream bases: zero, the simulated device's global-memory base, and
+#: beyond 2**62 (where the kind bits of a compaction key begin).
+BASES = [0, 0x7F0000000000, 2**63]
+
+tagged_strategy = st.tuples(
+    st.sampled_from(BASES),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2000),
+            st.integers(min_value=1, max_value=64),
+            st.sampled_from([KIND_LOAD, KIND_STORE]),
+        ),
+        min_size=1,
+        max_size=200,
     ),
-    min_size=1,
-    max_size=200,
 ).map(
-    lambda triples: (
+    lambda drawn: (
         np.array(
-            [(start, start + length) for start, length, _ in triples],
+            [
+                (drawn[0] + start, drawn[0] + start + length)
+                for start, length, _ in drawn[1]
+            ],
             dtype=np.uint64,
         ),
-        np.array([kind for _, _, kind in triples], dtype=np.uint8),
+        np.array([kind for _, _, kind in drawn[1]], dtype=np.uint8),
     )
 )
 
@@ -169,10 +180,42 @@ def test_interleaved_read_write_runs():
 
 def test_mismatched_kind_vector_rejected():
     arr = np.array([[0, 4]], dtype=np.uint64)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValueError):
         merge_parallel_kinds(arr, np.array([1, 2], dtype=np.uint8))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValueError):
         warp_compact_kinds(arr, np.array([], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("flag", [0, KIND_LOAD | KIND_STORE, 4, 255])
+def test_kind_flags_other_than_load_or_store_rejected(flag):
+    """A padding-sentinel flag once made compaction emit [2**64-1, 0)."""
+    arr = np.array([[0, 4], [4, 8]], dtype=np.uint64)
+    kinds = np.array([KIND_LOAD, flag], dtype=np.uint8)
+    with pytest.raises(InvalidValueError):
+        warp_compact_kinds(arr, kinds)
+    with pytest.raises(InvalidValueError):
+        merge_parallel_kinds(arr, kinds)
+
+
+@pytest.mark.parametrize("compact", [warp_compact_kinds, warp_compact])
+@pytest.mark.parametrize("warp_size", [0, -1])
+def test_nonpositive_warp_size_rejected(compact, warp_size):
+    arr = np.array([[0, 4]], dtype=np.uint64)
+    kinds = np.array([KIND_LOAD], dtype=np.uint8)
+    args = (arr, kinds) if compact is warp_compact_kinds else (arr,)
+    with pytest.raises(InvalidValueError):
+        compact(*args, warp_size=warp_size)
+
+
+def test_compaction_rejects_stream_spanning_2_pow_62():
+    kinds = np.array([KIND_LOAD, KIND_LOAD], dtype=np.uint8)
+    too_wide = np.array([[0, 4], [2**62 - 4, 2**62]], dtype=np.uint64)
+    with pytest.raises(InvalidValueError):
+        warp_compact_kinds(too_wide, kinds)
+    # One byte less fits a key; the merge itself has no span limit.
+    widest = np.array([[1, 4], [2**62 - 4, 2**62]], dtype=np.uint64)
+    assert warp_compact_kinds(widest, kinds)[0].tolist() == widest.tolist()
+    assert merge_parallel_kinds(too_wide, kinds).reads.tolist() == too_wide.tolist()
 
 
 def test_empty_stream_yields_empty_coverages():

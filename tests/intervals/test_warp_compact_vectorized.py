@@ -1,10 +1,11 @@
 """Differential tests for the vectorized kind-aware warp compaction.
 
-``warp_compact_kinds`` was rewritten from a per-chunk Python loop to a
-single padded 2-D sort plus a flattened run-reduction.  These tests pin
-the vectorized implementation to an inline transliteration of the
-original scalar algorithm — output order included — across randomized
-streams and the edge shapes that the padding must get right.
+``warp_compact_kinds`` sorts padded warp rows of start and end keys
+separately and reads the runs off the two sorted rows.  These tests pin
+it to an inline transliteration of the original per-chunk scalar
+algorithm — output order included — across randomized streams,
+warp-aligned streams of in-order and shuffled rows, and the edge shapes
+that the padding must get right.
 """
 
 import numpy as np
@@ -47,7 +48,7 @@ stream_strategy = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=500),
         st.integers(min_value=1, max_value=32),
-        st.sampled_from([KIND_LOAD, KIND_STORE, KIND_LOAD | KIND_STORE]),
+        st.sampled_from([KIND_LOAD, KIND_STORE]),
     ),
     min_size=1,
     max_size=150,
@@ -65,6 +66,50 @@ stream_strategy = st.lists(
 @settings(max_examples=200, deadline=None)
 def test_vectorized_matches_scalar_reference(stream, warp_size):
     arr, kinds = stream
+    got_arr, got_kinds = warp_compact_kinds(arr, kinds, warp_size=warp_size)
+    want_arr, want_kinds = _scalar_reference(arr, kinds, warp_size)
+    assert np.array_equal(got_arr, want_arr)
+    assert np.array_equal(got_kinds, want_kinds)
+
+
+@st.composite
+def warp_aligned_streams(draw):
+    """Whole warps of strided lanes, some in lane order, some shuffled.
+
+    A coalesced row arrives sorted by (kind, start); an uncoalesced one
+    arrives in any lane order with mixed kinds.  A partial last warp
+    exercises the padding.
+    """
+    warp_size = draw(st.sampled_from([4, 8, 32]))
+    rows, row_kinds = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        base = draw(st.integers(min_value=0, max_value=4096))
+        stride = draw(st.sampled_from([4, 8, 16]))
+        size = draw(st.sampled_from([4, 8, 12]))
+        starts = base + stride * np.arange(warp_size)
+        kinds = np.full(warp_size, draw(st.sampled_from([KIND_LOAD, KIND_STORE])))
+        if draw(st.booleans()):
+            starts = starts[draw(st.permutations(range(warp_size)))]
+            kinds = np.array(
+                draw(
+                    st.lists(
+                        st.sampled_from([KIND_LOAD, KIND_STORE]),
+                        min_size=warp_size,
+                        max_size=warp_size,
+                    )
+                )
+            )
+        rows.append(np.stack([starts, starts + size], axis=1))
+        row_kinds.append(kinds)
+    n = warp_size * len(rows) - draw(st.integers(min_value=0, max_value=warp_size - 1))
+    arr = np.concatenate(rows).astype(np.uint64)[:n]
+    return arr, np.concatenate(row_kinds).astype(np.uint8)[:n], warp_size
+
+
+@given(warp_aligned_streams())
+@settings(max_examples=200, deadline=None)
+def test_in_order_and_shuffled_warps_match_scalar_reference(stream):
+    arr, kinds, warp_size = stream
     got_arr, got_kinds = warp_compact_kinds(arr, kinds, warp_size=warp_size)
     want_arr, want_kinds = _scalar_reference(arr, kinds, warp_size)
     assert np.array_equal(got_arr, want_arr)

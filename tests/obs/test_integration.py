@@ -47,6 +47,19 @@ def test_enabled_run_records_nested_spans():
     assert tracer.open_spans == 0
 
 
+def test_sweep_span_splits_into_compact_and_merge():
+    _profile(observability=True)
+    tracer = telemetry.tracer()
+    sweeps = tracer.by_name("collector.sweep")
+    for child in ("intervals.compact", "intervals.merge"):
+        spans = tracer.by_name(child)
+        assert len(spans) == len(sweeps)
+        for span, sweep in zip(spans, sweeps):
+            assert span.depth == sweep.depth + 1
+            assert sweep.start_us <= span.start_us
+            assert span.start_us + span.dur_us <= sweep.start_us + sweep.dur_us
+
+
 def test_prometheus_dump_from_profiled_run():
     _profile(observability=True)
     text = telemetry.registry().to_prometheus()
