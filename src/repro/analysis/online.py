@@ -12,7 +12,7 @@ not by hit multiplicity.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -111,7 +111,7 @@ class OnlineAnalyzer:
 
     def _on_memory_api(self, obs: MemoryApiObservation) -> None:
         kind = VertexKind.MEMSET if obs.api == "memset" else VertexKind.MEMCPY
-        vertex = self._record_flow(
+        vertex, fractions = self._record_flow(
             kind,
             obs.name,
             obs.call_path,
@@ -124,7 +124,7 @@ class OnlineAnalyzer:
             device=obs.device,
         )
         api_ref = self._api_ref(vertex)
-        self._coarse_analysis(obs.writes, api_ref)
+        self._coarse_analysis(obs.writes, fractions, api_ref)
         host_extra = None
         if obs.host_array is not None:
             host_extra = (f"host:{obs.host_array.label}", obs.host_array.data)
@@ -145,7 +145,7 @@ class OnlineAnalyzer:
         self._on_launch(obs)
 
     def _on_launch(self, obs: LaunchObservation) -> None:
-        vertex = self._record_flow(
+        vertex, fractions = self._record_flow(
             VertexKind.KERNEL,
             obs.kernel_name,
             obs.call_path,
@@ -161,7 +161,7 @@ class OnlineAnalyzer:
             # excluded from every pattern analysis.
             return
         api_ref = self._api_ref(vertex)
-        self._coarse_analysis(obs.writes, api_ref)
+        self._coarse_analysis(obs.writes, fractions, api_ref)
         self._duplicate_analysis(obs.writes, api_ref, None)
         fine_span = (
             telemetry.tracer().begin(
@@ -204,12 +204,19 @@ class OnlineAnalyzer:
         host_sink: bool = False,
         annotation=(),
         device: int = 0,
-    ) -> Vertex:
+    ) -> Tuple[Vertex, List[float]]:
+        """Add the API's vertex and edges to the value flow graph.
+
+        Returns the vertex and each write's unchanged fraction, which the
+        coarse analysis reuses for the redundant-values check.
+        """
+        fractions = []
         write_accesses = []
         for write in writes:
             fraction = unchanged_fraction(
                 SnapshotPair(write.before, write.after, write.written_indices)
             )
+            fractions.append(fraction)
             write_accesses.append(
                 ObjectAccess(
                     alloc_id=write.obj.alloc_id,
@@ -240,18 +247,18 @@ class OnlineAnalyzer:
         if annotation and not vertex.operator:
             vertex.operator = tuple(annotation)
         self._current_operator = tuple(annotation)
-        return vertex
+        return vertex, fractions
 
-    def _coarse_analysis(self, writes, api_ref: str) -> None:
+    def _coarse_analysis(self, writes, fractions, api_ref: str) -> None:
         span = (
             telemetry.tracer().begin("analyzer.coarse", writes=len(writes))
             if telemetry.ENABLED and writes
             else None
         )
-        for write in writes:
+        for write, fraction in zip(writes, fractions):
             pair = SnapshotPair(write.before, write.after, write.written_indices)
             for hit in self.engine.analyze_snapshot(
-                pair, write.obj.label, api_ref
+                pair, write.obj.label, api_ref, fraction
             ):
                 self._add_hit(hit, fine=False)
         if span is not None:

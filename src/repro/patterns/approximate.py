@@ -8,15 +8,18 @@ The detector truncates each value's mantissa to the configured K bits
 (zeroing the discarded bits, the paper's relaxation), re-runs the exact
 fine-grained detectors on the truncated values, and reports a hit only
 for patterns that appear *after* truncation but not before — otherwise
-the exact pattern already covers the object.
+the exact pattern already covers the object.  The pattern engine hands
+over the exact hits it has already computed, so only the truncated
+pass runs here.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.errors import InvalidValueError
 from repro.patterns.base import (
     ObjectAccessView,
     Pattern,
@@ -39,7 +42,9 @@ def truncate_mantissa(values: np.ndarray, keep_bits: int) -> np.ndarray:
     values = np.asarray(values)
     dtype = values.dtype
     if dtype not in _MANTISSA_BITS:
-        raise ValueError(f"mantissa truncation requires a float dtype, got {dtype}")
+        raise InvalidValueError(
+            f"mantissa truncation requires a float dtype, got {dtype}"
+        )
     mantissa = _MANTISSA_BITS[dtype]
     drop = max(0, mantissa - keep_bits)
     if drop == 0:
@@ -52,15 +57,23 @@ def truncate_mantissa(values: np.ndarray, keep_bits: int) -> np.ndarray:
 
 
 def detect_approximate_values(
-    view: ObjectAccessView, config: PatternConfig = PatternConfig()
+    view: ObjectAccessView,
+    config: PatternConfig = PatternConfig(),
+    exact_hits: Optional[Sequence[PatternHit]] = None,
 ) -> List[PatternHit]:
-    """Report fine patterns that emerge only under mantissa truncation."""
+    """Report fine patterns that emerge only under mantissa truncation.
+
+    ``exact_hits`` is ``run_fine_value_detectors(view, config)`` when the
+    caller has already run it; otherwise it is computed here.
+    """
     values = np.asarray(view.values).ravel()
     if not np.issubdtype(values.dtype, np.floating):
         return []
     if values.size < config.min_accesses:
         return []
-    exact_hits = {hit.pattern for hit in run_fine_value_detectors(view, config)}
+    if exact_hits is None:
+        exact_hits = run_fine_value_detectors(view, config)
+    exact = {hit.pattern for hit in exact_hits}
     truncated = truncate_mantissa(values, config.approximate_mantissa_bits)
     approx_view = ObjectAccessView(
         object_label=view.object_label,
@@ -72,7 +85,7 @@ def detect_approximate_values(
     )
     hits: List[PatternHit] = []
     for hit in run_fine_value_detectors(approx_view, config):
-        if hit.pattern in exact_hits:
+        if hit.pattern in exact:
             continue
         hits.append(
             PatternHit(

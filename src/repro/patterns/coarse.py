@@ -16,6 +16,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import InvalidValueError
+from repro.gpu.dtypes import unsigned_of_width
 from repro.patterns.base import Pattern, PatternConfig, PatternHit, SnapshotPair
 from repro.utils.hashing import snapshot_digest
 
@@ -25,29 +27,40 @@ def unchanged_fraction(pair: SnapshotPair) -> float:
 
     Only elements the API actually wrote participate (Section 6.1:
     ValueExpert "only compares the values stored in memory addresses
-    that are accessed by A").
+    that are accessed by A").  Raises :class:`InvalidValueError` for
+    snapshots of different size or dtype, elements not 1, 2, 4 or 8
+    bytes wide, and a written index outside ``[0, size)``.
     """
     before = np.asarray(pair.before).ravel()
     after = np.asarray(pair.after).ravel()
     if before.size != after.size:
-        raise ValueError(
+        raise InvalidValueError(
             f"snapshot sizes differ ({before.size} vs {after.size})"
         )
     if before.dtype != after.dtype:
-        raise ValueError(
+        raise InvalidValueError(
             f"snapshot dtypes differ ({before.dtype} vs {after.dtype})"
         )
+    try:
+        carrier = unsigned_of_width(before.dtype.itemsize)
+    except ValueError:
+        raise InvalidValueError(
+            f"no bitwise comparison for {before.dtype} snapshots"
+        ) from None
     if pair.written_indices is not None:
         idx = np.asarray(pair.written_indices, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= before.size):
+            raise InvalidValueError(
+                f"written indices outside [0, {before.size}): "
+                f"min {idx.min()}, max {idx.max()}"
+            )
         before = before[idx]
         after = after[idx]
     if before.size == 0:
         return 0.0
-    # Bitwise comparison: NaN == NaN counts as unchanged, matching the
-    # raw-snapshot semantics of the tool.
-    before_bits = np.ascontiguousarray(before).view(np.uint8).reshape(before.size, -1)
-    after_bits = np.ascontiguousarray(after).view(np.uint8).reshape(after.size, -1)
-    same = (before_bits == after_bits).all(axis=1)
+    # Bitwise comparison: NaN == NaN counts as unchanged and -0.0 differs
+    # from 0.0, matching the raw-snapshot semantics of the tool.
+    same = before.view(carrier) == after.view(carrier)
     return float(np.count_nonzero(same)) / before.size
 
 
@@ -56,9 +69,15 @@ def detect_redundant_values(
     object_label: str,
     api_ref: str,
     config: PatternConfig = PatternConfig(),
+    fraction: Optional[float] = None,
 ) -> Optional[PatternHit]:
-    """Report the redundant-values pattern when it holds for ``pair``."""
-    fraction = unchanged_fraction(pair)
+    """Report the redundant-values pattern when it holds for ``pair``.
+
+    ``fraction`` is ``unchanged_fraction(pair)`` when the caller has
+    already computed it (the online analyzer does, for the flow graph).
+    """
+    if fraction is None:
+        fraction = unchanged_fraction(pair)
     if fraction < config.redundant_threshold:
         return None
     return PatternHit(

@@ -4,7 +4,8 @@ The online analyzer builds one :class:`~repro.patterns.base
 .ObjectAccessView` per (data object, GPU API) plus snapshot pairs for
 the coarse analysis, then hands them to the engine.  The engine is pure
 (no GPU or collector state), which is what makes the detectors unit- and
-property-testable in isolation.
+property-testable in isolation.  Each view's exact fine hits are
+computed once and shared with the approximate-values detector.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
+import repro.obs as telemetry
 from repro.patterns.approximate import detect_approximate_values
 from repro.patterns.base import (
     ObjectAccessView,
@@ -36,24 +38,45 @@ class PatternEngine:
 
     def analyze_view(self, view: ObjectAccessView) -> List[PatternHit]:
         """All fine-grained patterns of one object at one GPU API."""
-        hits: List[PatternHit] = []
-        hits.extend(run_fine_value_detectors(view, self.config))
-        heavy = detect_heavy_type(view, self.config)
+        config = self.config
+        exact = _timed("patterns.fine", run_fine_value_detectors, view, config)
+        hits: List[PatternHit] = list(exact)
+        heavy = _timed("patterns.heavy_type", detect_heavy_type, view, config)
         if heavy is not None:
             hits.append(heavy)
-        structured = detect_structured_values(view, self.config)
+        structured = _timed(
+            "patterns.structured", detect_structured_values, view, config
+        )
         if structured is not None:
             hits.append(structured)
-        hits.extend(detect_approximate_values(view, self.config))
+        hits.extend(
+            _timed(
+                "patterns.approximate",
+                detect_approximate_values,
+                view,
+                config,
+                exact,
+            )
+        )
         return hits
 
     # -- coarse-grained ------------------------------------------------------
 
     def analyze_snapshot(
-        self, pair: SnapshotPair, object_label: str, api_ref: str
+        self,
+        pair: SnapshotPair,
+        object_label: str,
+        api_ref: str,
+        fraction: float,
     ) -> List[PatternHit]:
-        """Redundant-values check for one object at one GPU API."""
-        hit = detect_redundant_values(pair, object_label, api_ref, self.config)
+        """Redundant-values check for one object at one GPU API.
+
+        ``fraction`` is the pair's unchanged fraction, which the caller
+        has already computed for the flow graph.
+        """
+        hit = detect_redundant_values(
+            pair, object_label, api_ref, self.config, fraction
+        )
         return [hit] if hit is not None else []
 
     def analyze_duplicates(
@@ -61,3 +84,11 @@ class PatternEngine:
     ) -> List[PatternHit]:
         """Duplicate-values grouping across objects at one GPU API."""
         return detect_duplicate_values(snapshots, api_ref)
+
+
+def _timed(name: str, detector, *args):
+    """``detector(*args)``, as a child span ``name`` when telemetry is on."""
+    if not telemetry.ENABLED:
+        return detector(*args)
+    with telemetry.span(name):
+        return detector(*args)

@@ -15,7 +15,7 @@ points lie on the line within tolerance.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,18 +27,23 @@ from repro.patterns.base import (
 )
 
 
+#: Element-aligned views whose index span is at most this many times
+#: their access count dedup through a span-sized scatter, not a sort.
+_SCATTER_SPAN_FACTOR = 4
+
+
 def fit_structured(
     indices: np.ndarray, values: np.ndarray
 ) -> Optional[tuple]:
     """Robust linear fit ``value ~ slope * index + intercept``.
 
-    Returns ``(slope, intercept, inlier_fraction, max_inlier_residual)``
-    or ``None`` when no fit is possible (fewer than two distinct
-    indices).
+    ``indices`` must be sorted and unique, as :func:`first_touch`
+    returns them.  Returns ``(slope, intercept, residuals)``, the
+    residuals relative to the value scale, or ``None`` when no fit is
+    possible (fewer than two distinct indices).
     """
-    order = np.argsort(indices)
-    x = indices[order].astype(np.float64)
-    y = values[order].astype(np.float64)
+    x = indices.astype(np.float64, copy=False)
+    y = values.astype(np.float64, copy=False)
     dx = np.diff(x)
     keep = dx != 0
     if not keep.any():
@@ -50,6 +55,42 @@ def fit_structured(
     scale = max(float(np.abs(y).max()), 1.0)
     residuals = np.abs(predicted - y) / scale
     return slope, intercept, residuals
+
+
+def first_touch(indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(indices, return_index=True)`` for finite indices >= 0.
+
+    Sorts only when it must: strictly increasing indices are already
+    unique, and integer-valued indices over a span of at most
+    :data:`_SCATTER_SPAN_FACTOR` times their count take each element's
+    first position from a scatter.
+    """
+    n = indices.size
+    if n < 2 or (indices[1:] > indices[:-1]).all():
+        return indices, np.arange(n)
+    top = float(indices.max())
+    if top < _SCATTER_SPAN_FACTOR * n:
+        elements = indices.astype(np.intp)
+        if (elements == indices).all():
+            first = np.full(int(top) + 1, n, dtype=np.intp)
+            np.minimum.at(first, elements, np.arange(n))
+            touched = np.flatnonzero(first < n)
+            return touched.astype(np.float64), first[touched]
+    return np.unique(indices, return_index=True)
+
+
+def has_distinct(values: np.ndarray, count: int) -> bool:
+    """Whether ``values`` holds at least ``count`` distinct values.
+
+    O(count * n) with ``==`` semantics, which for finite values matches
+    ``np.unique(values).size >= count``.
+    """
+    rest = values
+    for _ in range(count):
+        if rest.size == 0:
+            return False
+        rest = rest[rest != rest[0]]
+    return True
 
 
 def detect_structured_values(
@@ -66,11 +107,11 @@ def detect_structured_values(
     indices = (addresses - addresses.min()) / max(view.itemsize, 1)
     # Deduplicate by address: repeated accesses to one element must see
     # one value for a functional relation to exist at all.
-    uniq_idx, first_pos = np.unique(indices, return_index=True)
+    uniq_idx, first_pos = first_touch(indices)
     uniq_val = values[first_pos]
     if uniq_idx.size < config.structured_min_distinct:
         return None
-    if np.unique(uniq_val).size < config.structured_min_distinct:
+    if not has_distinct(uniq_val, config.structured_min_distinct):
         # Nearly constant data is single value / frequent values, not
         # structured (the patterns are reported separately).
         return None

@@ -188,3 +188,70 @@ def test_incremental_index_matches_digest_table(analysis, fill_kernel):
     for key, digest in analyzer._digests.items():
         inverse.setdefault(digest, set()).add(key)
     assert analyzer._by_digest == inverse
+
+
+@pytest.mark.parametrize("name", ["rodinia/bfs", "rodinia/hotspot", "lammps"])
+def test_each_quantity_computed_once(monkeypatch, name):
+    """One unchanged fraction per write; one exact fine pass per view,
+    plus one truncated pass per float view the approximate detector
+    examines."""
+    import repro.analysis.online as online
+    import repro.patterns.approximate as approximate
+    import repro.patterns.coarse as coarse
+    import repro.patterns.engine as engine
+    from repro import ToolConfig, ValueExpert
+    from repro.workloads import get_workload
+
+    calls = {"unchanged": 0, "exact": 0, "truncated": 0}
+    expected = {"unchanged": 0, "exact": 0, "truncated": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (online, coarse):
+        original = module.unchanged_fraction
+        monkeypatch.setattr(
+            module, "unchanged_fraction", counted("unchanged", original)
+        )
+    monkeypatch.setattr(
+        engine,
+        "run_fine_value_detectors",
+        counted("exact", engine.run_fine_value_detectors),
+    )
+    monkeypatch.setattr(
+        approximate,
+        "run_fine_value_detectors",
+        counted("truncated", approximate.run_fine_value_detectors),
+    )
+
+    def counting_writes(method):
+        def wrapper(self, obs):
+            expected["unchanged"] += len(obs.writes)
+            return method(self, obs)
+
+        return wrapper
+
+    for hook in ("on_launch", "on_memory_api"):
+        monkeypatch.setattr(
+            OnlineAnalyzer, hook, counting_writes(getattr(OnlineAnalyzer, hook))
+        )
+    analyze_view = engine.PatternEngine.analyze_view
+
+    def counting_views(self, view):
+        values = np.asarray(view.values)
+        expected["exact"] += 1
+        if (
+            np.issubdtype(values.dtype, np.floating)
+            and values.size >= self.config.min_accesses
+        ):
+            expected["truncated"] += 1
+        return analyze_view(self, view)
+
+    monkeypatch.setattr(engine.PatternEngine, "analyze_view", counting_views)
+    ValueExpert(ToolConfig()).profile(get_workload(name)(scale=0.1), name=name)
+    assert calls == expected
+    assert expected["unchanged"] > 0 and expected["exact"] > 0

@@ -60,6 +60,38 @@ def test_sweep_span_splits_into_compact_and_merge():
             assert span.start_us + span.dur_us <= sweep.start_us + sweep.dur_us
 
 
+def test_fine_span_splits_into_detector_spans():
+    _profile(observability=True)
+    tracer = telemetry.tracer()
+    fines = tracer.by_name("analyzer.fine")
+    assert fines
+    views = sum(span.attrs["views"] for span in fines)
+    # The offline type resolution runs the same detectors, so their spans
+    # also sit under `offline.resolve_types`; count those under fine only.
+    for child in (
+        "patterns.fine",
+        "patterns.heavy_type",
+        "patterns.structured",
+        "patterns.approximate",
+    ):
+        nested = 0
+        for span in tracer.by_name(child):
+            parent = next(
+                (
+                    fine
+                    for fine in fines
+                    if fine.start_us <= span.start_us
+                    and span.start_us + span.dur_us
+                    <= fine.start_us + fine.dur_us
+                ),
+                None,
+            )
+            if parent is not None:
+                assert span.depth == parent.depth + 1
+                nested += 1
+        assert nested == views
+
+
 def test_prometheus_dump_from_profiled_run():
     _profile(observability=True)
     text = telemetry.registry().to_prometheus()

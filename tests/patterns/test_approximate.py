@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import InvalidValueError
 from repro.gpu.dtypes import DType
 from repro.patterns.base import ObjectAccessView, Pattern, PatternConfig
 from repro.patterns.approximate import detect_approximate_values, truncate_mantissa
@@ -41,7 +42,7 @@ def test_truncation_keep_all_bits_is_identity():
 
 
 def test_truncation_rejects_integers():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValueError):
         truncate_mantissa(np.arange(4), 10)
 
 

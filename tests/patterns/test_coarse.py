@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import InvalidValueError
 from repro.patterns.base import Pattern, PatternConfig, SnapshotPair
 from repro.patterns.coarse import (
     detect_duplicate_values,
@@ -58,15 +59,38 @@ def test_unchanged_fraction_negative_zero_differs_from_zero():
 
 
 def test_size_mismatch_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValueError):
         unchanged_fraction(_pair(np.zeros(3), np.zeros(4)))
 
 
 def test_dtype_mismatch_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValueError):
         unchanged_fraction(
             _pair(np.zeros(4, np.float32), np.zeros(4, np.float64))
         )
+
+
+def test_negative_written_index_rejected():
+    """-1 must not silently measure the last element."""
+    before = np.zeros(4, np.float32)
+    after = before.copy()
+    after[:3] = 1.0
+    with pytest.raises(InvalidValueError):
+        unchanged_fraction(_pair(before, after, [-1]))
+
+
+def test_out_of_range_written_index_rejected():
+    with pytest.raises(InvalidValueError):
+        unchanged_fraction(_pair(np.zeros(4), np.zeros(4), [0, 4]))
+
+
+def test_redundant_uses_precomputed_fraction():
+    """A caller's fraction stands in for recomputing it from the pair."""
+    snapshot = np.zeros(8, np.float32)
+    pair = _pair(snapshot, snapshot.copy())
+    assert detect_redundant_values(pair, "o", "a", fraction=0.1) is None
+    hit = detect_redundant_values(pair, "o", "a", fraction=0.5)
+    assert hit.metrics["unchanged_fraction"] == 0.5
 
 
 def test_empty_written_set_is_not_redundant():

@@ -4,6 +4,7 @@ import numpy as np
 
 from repro.gpu.dtypes import DType
 from repro.patterns.base import ObjectAccessView, Pattern, PatternConfig, SnapshotPair
+from repro.patterns.coarse import unchanged_fraction
 from repro.patterns.engine import PatternEngine
 
 
@@ -49,7 +50,9 @@ def test_engine_uses_config():
 def test_engine_snapshot_analysis():
     engine = PatternEngine()
     pair = SnapshotPair(np.zeros(32), np.zeros(32))
-    hits = engine.analyze_snapshot(pair, "obj", "api")
+    hits = engine.analyze_snapshot(
+        pair, "obj", "api", unchanged_fraction(pair)
+    )
     assert len(hits) == 1
     assert hits[0].pattern is Pattern.REDUNDANT_VALUES
 
@@ -57,7 +60,9 @@ def test_engine_snapshot_analysis():
 def test_engine_snapshot_no_hit_when_changed():
     engine = PatternEngine()
     pair = SnapshotPair(np.zeros(32), np.ones(32))
-    assert engine.analyze_snapshot(pair, "obj", "api") == []
+    assert engine.analyze_snapshot(
+        pair, "obj", "api", unchanged_fraction(pair)
+    ) == []
 
 
 def test_engine_duplicate_analysis():

@@ -28,6 +28,7 @@ def test_stats_prints_prometheus_and_stage_table(capsys):
     assert "self-overhead by stage" in out
     assert "collector.sweep" in out
     assert "intervals.compact" in out and "intervals.merge" in out
+    assert "patterns.structured" in out and "patterns.fine" in out
     assert "repro self-telemetry" in out  # priced overhead row
 
 
