@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Tour of the beyond-the-paper extensions (§9 future work).
 
-Four features built on the same measurement substrate:
+Five features built on the same measurement substrate:
 
 1. operator annotations — findings name the DL operator;
 2. chrome-trace export — open the timeline in chrome://tracing;
@@ -17,15 +17,15 @@ Run::
 import numpy as np
 
 from repro import Pattern, ToolConfig, ValueExpert
-from repro.analysis.diff import diff_profiles
 from repro.analysis.races import detect_races
 from repro.analysis.reuse import analyze_launch
-from repro.analysis.trace import TraceRecorder
 from repro.collector.objects import DataObjectRegistry
 from repro.gpu.annotations import annotate
 from repro.gpu.dtypes import DType
 from repro.gpu.kernel import kernel
 from repro.gpu.runtime import GpuRuntime, RuntimeListener
+from repro.obs.export import ChromeTimeline
+from repro.tracediff import diff_traces, render_diff, summarize_profile
 from repro.workloads import get_workload
 
 
@@ -44,15 +44,15 @@ def main():
     print("== annotations + trace export " + "=" * 34)
     workload = get_workload("pytorch/bert")(scale=0.25)
     rt = GpuRuntime()
-    recorder = TraceRecorder()
-    rt.subscribe(recorder)
+    timeline = ChromeTimeline()
+    rt.subscribe(timeline)
     tool = ValueExpert(ToolConfig())
     profile = tool.profile(workload.run_baseline, runtime=rt, name="bert")
     for hit in profile.hits_by_pattern(Pattern.REDUNDANT_VALUES):
         operator = hit.metrics.get("operator", "-")
         print(f"  [{operator}] {hit.detail} on {hit.object_label}")
     with open("bert_trace.json", "w") as handle:
-        handle.write(recorder.to_json(profile))
+        handle.write(timeline.to_json(profile))
     print("  wrote bert_trace.json (open in chrome://tracing)")
 
     # 3: reuse distances of one instrumented launch.
@@ -92,7 +92,9 @@ def main():
     deepwave = get_workload("pytorch/deepwave")(scale=0.25)
     before = tool.profile(deepwave.run_baseline, name="before")
     after = tool.profile(lambda r: deepwave.run_optimized(r), name="after")
-    print(diff_profiles(before, after).summary())
+    print(render_diff(
+        diff_traces(summarize_profile(before), summarize_profile(after))
+    ))
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ slicing, annotates source lines, and finalizes the profile.
 
 The package also hosts the beyond-the-paper analyses built on the same
 measurement data (see docs/extensions.md): reuse distances, race
-detection, profile diffing, chrome-trace export, and HTML reports.
+detection, and HTML reports.  Profile diffing lives in
+:mod:`repro.tracediff` and the Chrome-trace timeline in
+:mod:`repro.obs.export`.
 """
 
 from repro.analysis.profile import ValueProfile
@@ -15,26 +17,21 @@ from repro.analysis.online import OnlineAnalyzer
 from repro.analysis.offline import OfflineAnalyzer
 from repro.analysis.advisor import OptimizationSuggestion, suggest
 from repro.analysis.report import render_report
-from repro.analysis.diff import ProfileDiff, diff_profiles
 from repro.analysis.races import RaceDetector, RaceReport, detect_races
 from repro.analysis.reuse import ReuseDistanceAnalyzer, analyze_launch
-from repro.analysis.trace import TraceRecorder
 from repro.analysis.htmlreport import render_html
 
 __all__ = [
     "analyze_launch",
     "detect_races",
-    "diff_profiles",
     "OfflineAnalyzer",
     "OnlineAnalyzer",
     "OptimizationSuggestion",
-    "ProfileDiff",
     "RaceDetector",
     "RaceReport",
     "render_html",
     "render_report",
     "ReuseDistanceAnalyzer",
     "suggest",
-    "TraceRecorder",
     "ValueProfile",
 ]

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.collector.collector import CollectionCounters
+from repro.errors import InvalidValueError
 from repro.flowgraph.graph import ValueFlowGraph
 from repro.patterns.base import Pattern, PatternHit
 
@@ -159,7 +160,23 @@ class ValueProfile:
         topology (vertices/edges with their measurements).  Calling
         contexts are not serialized, so reloaded vertices carry none —
         everything the renderers and queries need survives the trip.
+        Input that is not a profile (not an object, or with missing or
+        mistyped fields) raises :class:`~repro.errors.InvalidValueError`.
         """
+        if not isinstance(data, dict):
+            raise InvalidValueError(
+                f"malformed profile: expected a JSON object, "
+                f"got {type(data).__name__}"
+            )
+        try:
+            return cls._from_dict(data)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidValueError(
+                f"malformed profile: {type(exc).__name__}: {exc}"
+            ) from exc
+
+    @classmethod
+    def _from_dict(cls, data: Dict) -> "ValueProfile":
         from repro.flowgraph.graph import (
             EdgeKind,
             HOST_VERTEX_ID,
@@ -231,7 +248,13 @@ class ValueProfile:
     @classmethod
     def from_json(cls, text: str) -> "ValueProfile":
         """Rebuild a profile from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise InvalidValueError(
+                f"malformed profile: not JSON: {exc}"
+            ) from exc
+        return cls.from_dict(data)
 
     def summary(self) -> str:
         """One-paragraph textual digest."""

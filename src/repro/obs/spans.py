@@ -9,10 +9,10 @@ pipeline stages::
 Spans nest: the tracer keeps a stack, each finished span knows its
 depth, parent, and *self time* (duration minus enclosed children), and
 the whole timeline exports to the same Chrome-trace JSON event format
-:mod:`repro.analysis.trace` emits for the modelled application stream —
-so profiler-self spans and modelled GPU events load side-by-side in
-``chrome://tracing`` / Perfetto (the Daisen observation: a timeline you
-can open beats a number you can print).
+:class:`repro.obs.export.ChromeTimeline` emits for the modelled
+application stream — so profiler-self spans and modelled GPU events
+load side-by-side in ``chrome://tracing`` / Perfetto (the Daisen
+observation: a timeline you can open beats a number you can print).
 
 Application events live on pid 0 (modelled microseconds); self spans
 live on :data:`SELF_PID` (measured wall microseconds since the tracer's
@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 from repro.errors import InvalidValueError
 
 #: Chrome-trace process id of the profiler-self timeline (the modelled
-#: application stream from repro.analysis.trace uses pid 0).
+#: application stream from ChromeTimeline uses pid 0).
 SELF_PID = 1
 
 #: Default process-row label for a tracer's timeline.

@@ -9,7 +9,7 @@ memory-budget fallbacks, an aborted workload) increments a field here,
 and the report rides on the :class:`~repro.analysis.profile.ValueProfile`.
 
 Degradation is **loud in the report and invisible in the exit code**:
-``repro.tool health`` renders this report and still exits 0.
+``repro health`` renders this report and still exits 0.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ on completion the service folds the worker registry into its own via
 :meth:`~repro.obs.MetricsRegistry.merge` with ``{job=..., workload=...}``
 labels, so the scrape output carries per-job pipeline series.
 
-Start it with ``python -m repro.tool serve`` (see ``docs/service.md``).
+Start it with ``python -m repro serve`` (see ``docs/service.md``).
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The Omnistat architecture applied to the profiler itself: the service
 discovers ``collector_*.py`` files by name — first this built-in
-directory, then any directories the operator passes (``repro.tool
+directory, then any directories the operator passes (``repro
 serve --collectors DIR``) — and calls each plug-in once per
 ``GET /metrics`` scrape.  The built-ins shipped here are ordinary
 plug-ins loaded by path like any third-party file; they double as the

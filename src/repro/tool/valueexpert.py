@@ -42,7 +42,12 @@ from repro.analysis.sharding import (
     run_shards_parallel,
 )
 from repro.collector.collector import DataCollector
-from repro.errors import AnalysisError, DegradedProfileWarning, WorkloadError
+from repro.errors import (
+    AnalysisError,
+    DegradedProfileWarning,
+    InvalidValueError,
+    WorkloadError,
+)
 from repro.gpu.kernel import Kernel
 from repro.gpu.runtime import GpuRuntime, KernelLaunchEvent, RuntimeListener
 from repro.gpu.timing import Platform, RTX_2080_TI
@@ -178,8 +183,13 @@ class ValueExpert:
         ``events=(start, stop)`` restricts *analysis* to that event
         range: earlier events only reconstruct device state, later ones
         are skipped (serial replay only; ``stop=None`` means
-        end-of-trace).
+        end-of-trace).  ``shards < 1`` raises
+        :class:`~repro.errors.InvalidValueError`.
         """
+        if shards < 1:
+            raise InvalidValueError(
+                f"shards must be at least 1, got {shards}"
+            )
         with self._observed():
             if shards > 1:
                 if events is not None:

@@ -9,11 +9,13 @@ shifts (:mod:`repro.staticlint.similarity`, after Lim et al.) — and
 diffs value-pattern facts per matched site
 (:mod:`~repro.tracediff.differ`), classifying every change as
 ``NEW_REDUNDANCY``, ``LOST_PATTERN``, ``GROWN``, ``SHRUNK``, or a
-kernel-level add/remove.
+kernel-level add/remove.  Two live profiles of one program — before
+and after a fix — diff the same way:
+``diff_traces(summarize_profile(before), summarize_profile(after))``.
 
 A committed baseline (:mod:`~repro.tracediff.baseline`,
 ``benchmarks/out/tracediff_baseline.json``) names the deltas a project
-has accepted; CI runs ``python -m repro.tool trace-diff OLD NEW
+has accepted; CI runs ``python -m repro trace-diff OLD NEW
 --baseline FILE`` and fails on any un-baselined regression, the same
 way it already diffs ``staticlint_baseline.txt``.  See
 ``docs/trace-diff.md``.
@@ -38,6 +40,7 @@ from repro.tracediff.extract import (
     SiteSummary,
     TraceSummary,
     extract_summary,
+    summarize_profile,
 )
 from repro.tracediff.report import render_diff
 
@@ -56,5 +59,6 @@ __all__ = [
     "load_baseline",
     "render_diff",
     "save_baseline",
+    "summarize_profile",
     "write_text_atomic",
 ]

@@ -15,7 +15,9 @@ recording:
 
 Extraction replays the recording through the ordinary analysis stack
 (:meth:`repro.tool.ValueExpert.profile_from_trace`), so everything the
-profiler would report on a live run is what gets diffed.
+profiler would report on a live run is what gets diffed.  The site
+facts come from :func:`summarize_profile`, which also summarizes a live
+profile directly — the before/after comparison of a fix.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ class SiteSummary:
 class TraceSummary:
     """Everything the differ needs from one recording."""
 
+    #: The recording's path; ``<live profile>`` from summarize_profile.
     path: str
     workload: str
     platform: str
@@ -204,6 +207,26 @@ def _collect_sites(profile: ValueProfile, summary: TraceSummary) -> None:
         stats.count += 1
 
 
+def summarize_profile(profile: ValueProfile) -> TraceSummary:
+    """The per-site value-pattern summary of one profile.
+
+    Sites are aggregated by flow-graph vertex name, so two profiles of
+    the same program — e.g. before and after a fix — diff directly with
+    :func:`~repro.tracediff.diff_traces`.  The summary carries no kernel
+    binaries, so such a diff pairs every site by name;
+    :func:`extract_summary` adds the binaries a recording holds.
+    """
+    summary = TraceSummary(
+        path="<live profile>",
+        workload=profile.workload_name,
+        platform=profile.platform_name,
+        version=0,
+        profile=profile,
+    )
+    _collect_sites(profile, summary)
+    return summary
+
+
 def extract_summary(trace_path: str, shards: int = 1) -> TraceSummary:
     """Replay ``trace_path`` and build its diffable summary."""
     # Imported here: tracediff is a library layer under the tool facade
@@ -217,22 +240,20 @@ def extract_summary(trace_path: str, shards: int = 1) -> TraceSummary:
         if telemetry.ENABLED
         else None
     )
-    profile = ValueExpert(ToolConfig()).profile_from_trace(
-        trace_path, shards=shards
+    summary = summarize_profile(
+        ValueExpert(ToolConfig()).profile_from_trace(
+            trace_path, shards=shards
+        )
     )
+    summary.path = trace_path
     reader = TraceReader(trace_path)
     try:
-        summary = TraceSummary(
-            path=trace_path,
-            workload=reader.header.get("workload", ""),
-            platform=reader.header.get("platform", ""),
-            version=reader.version,
-            profile=profile,
-        )
+        summary.workload = reader.header.get("workload", "")
+        summary.platform = reader.header.get("platform", "")
+        summary.version = reader.version
         _collect_kernels(reader, summary)
     finally:
         reader.close()
-    _collect_sites(profile, summary)
     if span is not None:
         span.end()
         telemetry.counter(

@@ -6,6 +6,7 @@ import pytest
 from repro import Pattern, ToolConfig, ValueExpert
 from repro.analysis.htmlreport import render_html
 from repro.analysis.profile import ValueProfile
+from repro.errors import InvalidValueError
 from repro.flowgraph.render import render_dot
 from repro.gpu.dtypes import DType
 from repro.gpu.runtime import HostArray
@@ -71,3 +72,19 @@ def test_reloaded_profile_renders(reloaded):
 def test_double_roundtrip_is_stable(reloaded):
     again = ValueProfile.from_json(reloaded.to_json())
     assert again.to_dict() == reloaded.to_dict()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[]",
+        '"str"',
+        '{"objects": [{"bogus": 1}]}',
+        '{"hits": [{"x": 1}]}',
+    ],
+    ids=["not-json", "list", "string", "bad-object", "bad-hit"],
+)
+def test_malformed_input_raises_invalid_value(text):
+    with pytest.raises(InvalidValueError, match="malformed profile"):
+        ValueProfile.from_json(text)

@@ -1,37 +1,37 @@
-"""Tests for the chrome-trace exporter."""
+"""Tests for the Chrome-trace timeline exporter (``repro.obs.export``)."""
 
 import json
 
 import numpy as np
 
 from repro import ToolConfig, ValueExpert
-from repro.analysis.trace import TraceRecorder
 from repro.gpu.annotations import annotate
 from repro.gpu.dtypes import DType
 from repro.gpu.runtime import GpuRuntime, HostArray
+from repro.obs.export import ChromeTimeline
 
 
 def _record(fill_kernel):
     rt = GpuRuntime()
-    recorder = TraceRecorder()
-    rt.subscribe(recorder)
+    timeline = ChromeTimeline()
+    rt.subscribe(timeline)
     out = rt.malloc(256, DType.FLOAT32, "out")
     rt.memcpy_h2d(out, HostArray(np.zeros(256, np.float32)))
     with annotate(rt, "layer0"):
         rt.launch(fill_kernel, 1, 256, out, 0.0)
     rt.memset(out, 0)
-    return recorder
+    return timeline
 
 
 def test_events_are_valid_json(fill_kernel):
-    recorder = _record(fill_kernel)
-    events = json.loads(recorder.to_json())
+    timeline = _record(fill_kernel)
+    events = json.loads(timeline.to_json())
     assert len(events) == 4
 
 
 def test_events_are_complete_and_ordered(fill_kernel):
-    recorder = _record(fill_kernel)
-    events = json.loads(recorder.to_json())
+    timeline = _record(fill_kernel)
+    events = json.loads(timeline.to_json())
     assert all(e["ph"] == "X" for e in events)
     timestamps = [e["ts"] for e in events]
     assert timestamps == sorted(timestamps)
@@ -41,23 +41,23 @@ def test_events_are_complete_and_ordered(fill_kernel):
 
 
 def test_kernel_event_named_after_kernel(fill_kernel):
-    recorder = _record(fill_kernel)
-    events = json.loads(recorder.to_json())
+    timeline = _record(fill_kernel)
+    events = json.loads(timeline.to_json())
     names = [e["name"] for e in events]
     assert "fill_constant" in names
 
 
 def test_annotation_in_args(fill_kernel):
-    recorder = _record(fill_kernel)
-    events = json.loads(recorder.to_json())
+    timeline = _record(fill_kernel)
+    events = json.loads(timeline.to_json())
     launch = next(e for e in events if e["name"] == "fill_constant")
     assert launch["args"]["operator"] == "layer0"
     assert launch["args"]["grid"] == 1
 
 
 def test_memcpy_carries_direction_and_bytes(fill_kernel):
-    recorder = _record(fill_kernel)
-    events = json.loads(recorder.to_json())
+    timeline = _record(fill_kernel)
+    events = json.loads(timeline.to_json())
     memcpy = next(e for e in events if e["cat"] == "cudaMemcpy")
     assert memcpy["args"]["direction"] == "h2d"
     assert memcpy["args"]["bytes"] == 1024
@@ -70,10 +70,10 @@ def test_hits_exported_as_instant_events(fill_kernel):
         rt.launch(fill_kernel, 1, 256, out, 0.0)
 
     rt = GpuRuntime()
-    recorder = TraceRecorder()
-    rt.subscribe(recorder)
+    timeline = ChromeTimeline()
+    rt.subscribe(timeline)
     profile = ValueExpert(ToolConfig()).profile(workload, runtime=rt)
-    events = json.loads(recorder.to_json(profile))
+    events = json.loads(timeline.to_json(profile))
     instants = [e for e in events if e["ph"] == "i"]
     assert instants
     assert any("redundant values" in e["name"] for e in instants)
@@ -81,8 +81,8 @@ def test_hits_exported_as_instant_events(fill_kernel):
 
 def _roundtrip(fill_kernel):
     rt = GpuRuntime()
-    recorder = TraceRecorder()
-    rt.subscribe(recorder)
+    timeline = ChromeTimeline()
+    rt.subscribe(timeline)
 
     def workload(runtime):
         out = runtime.malloc(256, DType.FLOAT32, "out")
@@ -90,7 +90,7 @@ def _roundtrip(fill_kernel):
         runtime.launch(fill_kernel, 1, 256, out, 0.0)
 
     profile = ValueExpert(ToolConfig()).profile(workload, runtime=rt)
-    return profile, json.loads(recorder.to_json(profile))
+    return profile, json.loads(timeline.to_json(profile))
 
 
 def test_roundtrip_events_well_formed(fill_kernel):
@@ -108,8 +108,8 @@ def test_roundtrip_events_well_formed(fill_kernel):
 def test_roundtrip_matches_to_events(fill_kernel):
     """to_json is exactly the serialized form of to_events."""
     rt = GpuRuntime()
-    recorder = TraceRecorder()
-    rt.subscribe(recorder)
+    timeline = ChromeTimeline()
+    rt.subscribe(timeline)
 
     def workload(runtime):
         out = runtime.malloc(256, DType.FLOAT32, "out")
@@ -117,11 +117,11 @@ def test_roundtrip_matches_to_events(fill_kernel):
         runtime.launch(fill_kernel, 1, 256, out, 0.0)
 
     profile = ValueExpert(ToolConfig()).profile(workload, runtime=rt)
-    assert json.loads(recorder.to_json(profile)) == recorder.to_events(profile)
-    # And calling to_events does not mutate the recorder's own timeline.
-    before = len(recorder.events)
-    recorder.to_events(profile)
-    assert len(recorder.events) == before
+    assert json.loads(timeline.to_json(profile)) == timeline.to_events(profile)
+    # And calling to_events does not mutate the timeline's own timeline.
+    before = len(timeline.events)
+    timeline.to_events(profile)
+    assert len(timeline.events) == before
 
 
 def test_hits_anchor_to_producing_launch_event(fill_kernel):
@@ -164,18 +164,18 @@ def _record_two_devices(fill_kernel):
             devices=2, config=DeviceConfig(global_memory_bytes=4 * 1024 * 1024)
         )
     )
-    recorder = TraceRecorder()
-    rt.subscribe(recorder)
+    timeline = ChromeTimeline()
+    rt.subscribe(timeline)
     for dev in (0, 1):
         rt.set_device(dev)
         out = rt.malloc(256, DType.FLOAT32, "out")
         rt.launch(fill_kernel, 1, 256, out, 1.0, stream=1)
-    return recorder
+    return timeline
 
 
 def test_multi_device_run_gets_one_lane_per_device(fill_kernel):
-    recorder = _record_two_devices(fill_kernel)
-    events = json.loads(recorder.to_json())
+    timeline = _record_two_devices(fill_kernel)
+    events = json.loads(timeline.to_json())
     spans = [e for e in events if e["ph"] == "X"]
     assert {e["pid"] for e in spans} == {0, 1}
     metas = [e for e in events if e["ph"] == "M"]
@@ -184,8 +184,8 @@ def test_multi_device_run_gets_one_lane_per_device(fill_kernel):
 
 
 def test_devices_keep_independent_lane_clocks(fill_kernel):
-    recorder = _record_two_devices(fill_kernel)
-    events = json.loads(recorder.to_json())
+    timeline = _record_two_devices(fill_kernel)
+    events = json.loads(timeline.to_json())
     # The second device's kernel overlaps the first's: both launches
     # start at the same lane-relative timestamp.
     launches = [e for e in events if e["name"] == "fill_constant"]
@@ -195,19 +195,19 @@ def test_devices_keep_independent_lane_clocks(fill_kernel):
 
 def test_streams_get_distinct_thread_lanes(fill_kernel):
     rt = GpuRuntime()
-    recorder = TraceRecorder()
-    rt.subscribe(recorder)
+    timeline = ChromeTimeline()
+    rt.subscribe(timeline)
     out = rt.malloc(256, DType.FLOAT32, "out")
     rt.launch(fill_kernel, 1, 256, out, 1.0, stream=0)
     rt.launch(fill_kernel, 1, 256, out, 2.0, stream=2)
-    events = json.loads(recorder.to_json())
+    events = json.loads(timeline.to_json())
     launches = [e for e in events if e["name"] == "fill_constant"]
     assert len({e["tid"] for e in launches}) == 2  # one lane per stream
 
 
 def test_single_device_trace_has_no_process_metadata(fill_kernel):
     """Byte-identity: classic single-device traces gain no "M" rows."""
-    recorder = _record(fill_kernel)
-    events = json.loads(recorder.to_json())
+    timeline = _record(fill_kernel)
+    events = json.loads(timeline.to_json())
     assert all(e["ph"] == "X" for e in events)
     assert {e["pid"] for e in events} == {0}

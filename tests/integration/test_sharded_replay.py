@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.analysis.sharding import plan_shards
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, InvalidValueError
 from repro.tool.config import ToolConfig
 from repro.tool.valueexpert import ValueExpert
 from repro.workloads import get_workload
@@ -125,3 +125,10 @@ def test_plan_shards_balances_by_weight():
     assert plan_shards([5], 4) == [(0, 1)]
     flat = plan_shards([0, 0, 0, 0], 2)  # zero weights fall back to counts
     assert flat == [(0, 2), (2, 4)]
+
+
+@pytest.mark.parametrize("shards", [0, -1])
+def test_nonpositive_shard_counts_are_rejected(tmp_path, shards):
+    path = _record(tmp_path, "rodinia/bfs")
+    with pytest.raises(InvalidValueError, match="shards must be at least 1"):
+        ValueExpert(ToolConfig()).profile_from_trace(path, shards=shards)

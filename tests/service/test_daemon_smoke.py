@@ -1,4 +1,4 @@
-"""Daemon smoke test: the real ``python -m repro.tool serve`` process.
+"""Daemon smoke test: the real ``python -m repro serve`` process.
 
 This is the CI gate for the fleet-mode daemon: start the server on a
 free port, drive three concurrent jobs of different flavours (live
@@ -49,7 +49,7 @@ def daemon(tmp_path):
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
     process = subprocess.Popen(
         [
-            sys.executable, "-m", "repro.tool", "serve",
+            sys.executable, "-m", "repro", "serve",
             "--port", "0", "--workers", "3",
             "--spool", str(spool),
             "--drain-timeout", "300",

@@ -42,7 +42,7 @@ def _start_daemon(state_dir, spool, workers=1):
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
     process = subprocess.Popen(
         [
-            sys.executable, "-m", "repro.tool", "serve",
+            sys.executable, "-m", "repro", "serve",
             "--port", "0", "--workers", str(workers),
             "--spool", str(spool),
             "--state-dir", str(state_dir),

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -135,3 +136,84 @@ def test_record_default_output_name(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["record", "rodinia/bfs", "--scale", "0.125"]) == 0
     assert (tmp_path / "rodinia_bfs.vetrace").exists()
+
+
+ALL_SUBCOMMANDS = (
+    "list profile record replay speedup workflow view table1 table3 "
+    "table4 table5 figure2 figure3 figure6 casestudies stats trace health "
+    "lint trace-diff serve"
+).split()
+
+
+def test_parser_lists_every_subcommand():
+    parser = build_parser()
+    sub = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert list(sub.choices) == ALL_SUBCOMMANDS
+
+
+@pytest.fixture(scope="module")
+def bfs_trace(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("traces") / "bfs.vetrace")
+    assert main(
+        ["record", "rodinia/bfs", "--scale", "0.125", "--out", path]
+    ) == 0
+    return path
+
+
+def test_replay_prints_one_line_per_shard(bfs_trace, capsys):
+    capsys.readouterr()
+    assert main(["replay", bfs_trace, "--shards", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "ValueExpert report" in out
+    assert "sharded over 2 workers:" in out
+    assert "  shard 0: events [0, " in out
+    assert "  shard 1: events [" in out
+
+
+@pytest.mark.parametrize("shards", ["0", "-1"])
+def test_replay_rejects_nonpositive_shards(bfs_trace, capsys, shards):
+    capsys.readouterr()
+    assert main(["replay", bfs_trace, "--shards", shards]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: shards must be at least 1")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["profile", "replay"])
+def test_coarse_only_and_fine_only_are_exclusive(bfs_trace, capsys, command):
+    target = "rodinia/bfs" if command == "profile" else bfs_trace
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, target, "--coarse-only", "--fine-only"])
+    assert excinfo.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[]",
+        '"str"',
+        '{"objects": [{"bogus": 1}]}',
+        '{"hits": [{"x": 1}]}',
+    ],
+    ids=["not-json", "list", "string", "bad-object", "bad-hit"],
+)
+def test_view_of_malformed_profile_is_one_line_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["view", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: malformed profile")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_view_of_missing_profile_is_one_line_error(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    assert main(["view", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: cannot open profile")
+    assert len(err.strip().splitlines()) == 1
