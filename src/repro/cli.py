@@ -52,7 +52,7 @@ from repro.experiments import (
 )
 from repro.flowgraph.render import render_dot
 from repro.gpu.runtime import GpuRuntime
-from repro.gpu.timing import A100, EVALUATION_PLATFORMS, RTX_2080_TI
+from repro.gpu.timing import EVALUATION_PLATFORMS, PLATFORMS
 from repro.obs.export import ChromeTimeline, merged_trace_json
 from repro.obs.selfreport import (
     format_stage_table,
@@ -65,16 +65,10 @@ from repro.tool.config import ToolConfig
 from repro.tool.valueexpert import ValueExpert
 from repro.workloads import get_workload, workload_names
 
-_PLATFORMS = {"2080ti": RTX_2080_TI, "a100": A100}
-
 #: Default committed location of the lint baseline (CI diffs it).
 LINT_BASELINE_PATH = "benchmarks/out/staticlint_baseline.txt"
 #: Default ``--fail-on`` kinds for trace-diff.
 DEFAULT_FAIL_ON = "new-redundancy"
-
-
-def _platform(name: str):
-    return _PLATFORMS[name]
 
 
 def _write_text(path: str, text: str) -> None:
@@ -121,7 +115,7 @@ def _cmd_profile(args) -> int:
     )
     profile = ValueExpert(config).profile(
         workload.run_baseline,
-        platform=_platform(args.platform),
+        platform=PLATFORMS[args.platform],
         name=workload.name,
     )
     print(render_report(profile))
@@ -149,7 +143,7 @@ def _cmd_record(args) -> int:
 
     workload = get_workload(args.workload)(scale=args.scale)
     out = args.out or f"{workload.name.replace('/', '_')}.vetrace"
-    runtime = GpuRuntime(platform=_platform(args.platform))
+    runtime = GpuRuntime(platform=PLATFORMS[args.platform])
     recorder = TraceRecorder(
         out,
         header={
@@ -241,7 +235,7 @@ def _cmd_workflow(args) -> int:
     from repro.tool.workflow import run_recommended_workflow
 
     workload = get_workload(args.workload)(scale=args.scale)
-    result = run_recommended_workflow(workload, _platform(args.platform))
+    result = run_recommended_workflow(workload, PLATFORMS[args.platform])
     print(result.summary())
     if result.fine_profile is not None:
         print()
@@ -296,7 +290,7 @@ def _cmd_experiment(args) -> int:
 def _profile_with_telemetry(args, timeline: Optional[ChromeTimeline] = None):
     """Run one observability-enabled profile; returns (profile, runtime)."""
     workload = get_workload(args.workload)(scale=args.scale)
-    platform = _platform(args.platform)
+    platform = PLATFORMS[args.platform]
     runtime = GpuRuntime(platform=platform)
     if timeline is not None:
         runtime.subscribe(timeline)
@@ -366,7 +360,7 @@ def _run_health(args, plan):
         warnings.simplefilter("ignore", DegradedProfileWarning)
         profile = tool.profile(
             workload.run_baseline,
-            platform=_platform(args.platform),
+            platform=PLATFORMS[args.platform],
             name=workload.name,
         )
     return profile
@@ -473,7 +467,7 @@ def _cmd_lint(args) -> int:
         result = lint_workload(
             name,
             scale=args.scale,
-            platform=_platform(args.platform),
+            platform=PLATFORMS[args.platform],
             rules=rules,
             cross_profile=cross_profile,
         )
@@ -599,7 +593,6 @@ def _cmd_serve(args) -> int:
             port=args.port,
             workers=args.workers,
             artifact_dir=args.spool,
-            collector_dirs=tuple(args.collectors or ()),
             drain_timeout=args.drain_timeout,
             state_dir=args.state_dir,
             max_queue_depth=args.max_queue,
@@ -654,7 +647,7 @@ def _add_target(cmd, scale: float = 0.5, workload: bool = True,
     cmd.add_argument("--scale", type=float, default=scale)
     if platform:
         cmd.add_argument(
-            "--platform", choices=list(_PLATFORMS), default="2080ti"
+            "--platform", choices=list(PLATFORMS), default="2080ti"
         )
 
 
@@ -895,11 +888,6 @@ def _add_inspection_commands(sub) -> None:
     serve.add_argument(
         "--workers", type=int, default=2,
         help="concurrent worker processes (default: 2)",
-    )
-    serve.add_argument(
-        "--collectors", action="append", metavar="DIR",
-        help="extra collector plug-in directory (repeatable; "
-        "collector_*.py files are discovered by name)",
     )
     serve.add_argument(
         "--spool", metavar="DIR",

@@ -141,6 +141,9 @@ A100 = Platform(
 #: The two platforms of Table 2, in paper order.
 EVALUATION_PLATFORMS = (RTX_2080_TI, A100)
 
+#: Platform by the short name the CLI and the job API accept.
+PLATFORMS = {"2080ti": RTX_2080_TI, "a100": A100}
+
 
 @dataclass
 class TimeBreakdown:

@@ -37,8 +37,10 @@ from enum import Enum
 from typing import Dict, List, Optional
 
 from repro.errors import ReproError, ServiceError, UnknownJobError
+from repro.gpu.timing import PLATFORMS
 from repro.obs import MetricsRegistry, Span
 from repro.service.wal import WriteAheadLog, load_wal
+from repro.workloads import workload_names
 
 
 class JobState(str, Enum):
@@ -132,6 +134,17 @@ class JobSpec:
                 "job spec needs exactly one of 'workload' (live run) or "
                 "'trace' (.vetrace replay)"
             )
+        if self.workload and self.workload not in workload_names():
+            raise ServiceError(
+                f"unknown workload {self.workload!r}; known: "
+                f"{', '.join(workload_names())}"
+            )
+        if self.platform not in PLATFORMS:
+            raise ServiceError(
+                f"unknown platform {self.platform!r}; known: {sorted(PLATFORMS)}"
+            )
+        if self.scale <= 0:
+            raise ServiceError(f"scale must be > 0, got {self.scale}")
         if self.record and self.trace:
             raise ServiceError("record=true only applies to live workload runs")
         if self.shards < 1:
@@ -397,8 +410,7 @@ class JobStore:
     With ``wal_path`` the store is durable: the WAL is replayed before
     the store accepts traffic (recovery), then every mutation appends.
     ``backoff_base_s``/``backoff_cap_s`` bound the retry delays (tests
-    shrink them); ``fault_injector`` reaches the WAL writer for
-    ``torn_wal`` chaos.
+    shrink them).
     """
 
     def __init__(
@@ -406,7 +418,6 @@ class JobStore:
         wal_path: Optional[str] = None,
         backoff_base_s: float = BACKOFF_BASE_S,
         backoff_cap_s: float = BACKOFF_CAP_S,
-        fault_injector=None,
     ):
         self._jobs: Dict[str, JobRecord] = {}
         self._order: List[str] = []
@@ -426,7 +437,7 @@ class JobStore:
             entries, torn, _ = load_wal(wal_path)
             self.wal_torn_on_load = torn
             self._restore(entries)
-            self._wal = WriteAheadLog(wal_path, fault_injector=fault_injector)
+            self._wal = WriteAheadLog(wal_path)
             self._recover_in_flight()
 
     # -- durability ----------------------------------------------------------

@@ -4,8 +4,8 @@ A dispatcher thread claims *due* queued jobs from the :class:`~repro.
 service.jobs.JobStore` whenever a worker slot is free (jobs waiting out
 a retry backoff are skipped until their ``retry_after`` passes) and
 hands each to a watcher thread, which spawns the actual worker
-*process* (``spawn`` start method by default — forking a threaded
-daemon is a deadlock lottery) and supervises it:
+*process* (``spawn`` start method — forking a threaded daemon is a
+deadlock lottery) and supervises it:
 
 - result message on the pipe  -> ``DONE`` (on-done callbacks fire);
 - error message on the pipe   -> the attempt failed; the store retries
@@ -40,12 +40,8 @@ from typing import Callable, Dict, List, Optional
 from repro.service.jobs import JobRecord, JobState, JobStore
 from repro.service.worker import worker_entry
 
-
-def default_start_method() -> str:
-    """``spawn`` when available (always, in practice): thread-safe to
-    call from the daemon, and each worker gets a pristine interpreter."""
-    methods = multiprocessing.get_all_start_methods()
-    return "spawn" if "spawn" in methods else methods[0]
+#: Seconds between dispatcher and watcher polls.
+POLL_INTERVAL_S = 0.05
 
 
 class WorkerPool:
@@ -56,20 +52,17 @@ class WorkerPool:
         store: JobStore,
         workers: int = 2,
         artifact_dir: Optional[str] = None,
-        start_method: Optional[str] = None,
-        poll_interval: float = 0.05,
         default_deadline_s: Optional[float] = None,
         kill_grace_s: float = 5.0,
     ):
         self.store = store
-        self.size = max(1, int(workers))
+        self.size = workers
         self.artifact_dir = artifact_dir or tempfile.mkdtemp(
             prefix="repro-service-"
         )
-        self._context = multiprocessing.get_context(
-            start_method or default_start_method()
-        )
-        self._poll = poll_interval
+        # spawn: thread-safe to start from the daemon, and each worker
+        # gets a pristine interpreter.
+        self._context = multiprocessing.get_context("spawn")
         #: Deadline for jobs whose spec sets none (None = unlimited).
         self.default_deadline_s = default_deadline_s
         #: Seconds between SIGTERM and the SIGKILL escalation.
@@ -185,7 +178,8 @@ class WorkerPool:
                 # poll interval so fresh submissions stay snappy).
                 nap = self.store.next_retry_in()
                 self._stop.wait(
-                    self._poll if nap is None else min(self._poll, nap)
+                    POLL_INTERVAL_S if nap is None
+                    else min(POLL_INTERVAL_S, nap)
                 )
                 continue
             with self._lock:
@@ -287,7 +281,7 @@ class WorkerPool:
                         f"(attempt {record.attempt})",
                     )
                     return
-                if receiver.poll(self._poll):
+                if receiver.poll(POLL_INTERVAL_S):
                     try:
                         message = receiver.recv()
                     except EOFError:

@@ -1,7 +1,7 @@
 """Worker-process side of the pool: execute one job, ship the result.
 
-Each job runs in its own process (``spawn`` by default — safe to start
-from the daemon's threaded parent), so a crashing or leaking job can
+Each job runs in its own process (``spawn`` — safe to start from the
+daemon's threaded parent), so a crashing or leaking job can
 never take the service down.  The worker runs the re-entrant
 :class:`~repro.tool.valueexpert.ValueExpert` facade with a **private**
 registry and tracer; the resulting :class:`~repro.service.jobs.
@@ -23,30 +23,14 @@ import time
 import warnings
 from typing import Dict, Optional
 
-from repro.errors import DegradedProfileWarning, ServiceError
-from repro.gpu.timing import A100, RTX_2080_TI
+from repro.errors import DegradedProfileWarning
+from repro.gpu.timing import PLATFORMS
 from repro.obs import MetricsRegistry, SpanTracer
 from repro.resilience import FaultKind, FaultPlan, draw_service_fault
 from repro.service.jobs import JobResult, JobSpec
 from repro.tool.config import ToolConfig
 from repro.tool.valueexpert import ValueExpert
 from repro.workloads import get_workload
-
-#: Test-only hook: when this environment variable equals the job's
-#: display name, the worker hard-exits before reporting — simulating a
-#: segfault so the pool's crash -> FAILED path stays covered.
-CRASH_ENV = "REPRO_SERVICE_TEST_CRASH"
-
-_PLATFORMS = {"2080ti": RTX_2080_TI, "a100": A100}
-
-
-def _platform(name: str):
-    try:
-        return _PLATFORMS[name]
-    except KeyError:
-        raise ServiceError(
-            f"unknown platform {name!r}; known: {sorted(_PLATFORMS)}"
-        ) from None
 
 
 def build_config(spec: JobSpec) -> ToolConfig:
@@ -107,8 +91,6 @@ def execute_job(
 ) -> JobResult:
     """Run one job to completion; returns its result (raises on error)."""
     spec = JobSpec.from_dict(spec_dict)
-    if os.environ.get(CRASH_ENV) == spec.display_name:
-        os._exit(13)
     inject_service_fault(spec, attempt)
     config = build_config(spec)
     registry = MetricsRegistry()
@@ -126,7 +108,7 @@ def execute_job(
                 trace_path = os.path.join(artifact_dir, f"{job_id}.vetrace")
             profile = tool.profile(
                 workload.run_baseline,
-                platform=_platform(spec.platform),
+                platform=PLATFORMS[spec.platform],
                 name=workload.name,
                 record_path=trace_path,
             )

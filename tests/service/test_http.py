@@ -94,6 +94,22 @@ def test_submit_malformed_spec_is_400(api):
     assert code == 400
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("workload", "rodinia/nope", "unknown workload"),
+        ("platform", "h100", "unknown platform"),
+        ("scale", 0, "scale must be > 0"),
+    ],
+)
+def test_unrunnable_spec_is_400_before_any_attempt(api, field, value, message):
+    spec = {"workload": "rodinia/bfs", "scale": SCALE, field: value}
+    code, body, _headers = api("/jobs", data=spec)
+    assert code == 400
+    assert message in json.loads(body)["error"]
+    assert api.service.store.list() == []
+
+
 def test_empty_body_is_400(api):
     code, body, _headers = api("/jobs", data=None, method="POST")
     assert code == 400

@@ -41,6 +41,23 @@ def test_spec_rejects_unknown_config_options():
     assert "observability" in str(excinfo.value)
 
 
+def test_spec_rejects_unknown_workload():
+    with pytest.raises(ServiceError, match="unknown workload 'rodinia/nope'"):
+        _spec(workload="rodinia/nope").validate()
+
+
+def test_spec_rejects_unknown_platform():
+    with pytest.raises(ServiceError, match="unknown platform 'h100'"):
+        _spec(platform="h100").validate()
+    _spec(platform="a100").validate()
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.5])
+def test_spec_rejects_nonpositive_scale(scale):
+    with pytest.raises(ServiceError, match="scale must be > 0"):
+        _spec(scale=scale).validate()
+
+
 def test_from_dict_rejects_unknown_fields():
     with pytest.raises(ServiceError) as excinfo:
         JobSpec.from_dict({"workload": "rodinia/bfs", "prioritty": 1})

@@ -27,7 +27,7 @@ def store():
 
 
 def _submit_and_claim(store, **spec_kwargs):
-    record = store.submit(JobSpec(workload="w", **spec_kwargs))
+    record = store.submit(JobSpec(workload="rodinia/bfs", **spec_kwargs))
     assert store.claim().id == record.id
     return record
 
@@ -73,7 +73,7 @@ def test_done_and_cancelled_stay_immutable(store):
     store.mark_done(record.id, JobResult(summary="", profile_path="p"))
     with pytest.raises(ServiceError, match="cannot go"):
         store._transition(record, JobState.QUEUED)
-    other = store.submit(JobSpec(workload="w", max_retries=5))
+    other = store.submit(JobSpec(workload="rodinia/bfs", max_retries=5))
     store.mark_cancelled(other.id)
     with pytest.raises(ServiceError, match="cannot go"):
         store._transition(other, JobState.QUEUED)
@@ -103,7 +103,7 @@ def test_claim_skips_jobs_waiting_out_backoff(store):
 
 
 def test_backoff_delays_stay_within_bounds(store):
-    record = store.submit(JobSpec(workload="w", max_retries=30))
+    record = store.submit(JobSpec(workload="rodinia/bfs", max_retries=30))
     delays = []
     for _ in range(8):
         store.claim()
@@ -169,28 +169,30 @@ def test_cancel_during_retry_wait(store):
 
 def test_spec_rejects_bad_deadline_and_retries():
     with pytest.raises(ServiceError, match="deadline_s"):
-        JobSpec(workload="w", deadline_s=0).validate()
+        JobSpec(workload="rodinia/bfs", deadline_s=0).validate()
     with pytest.raises(ServiceError, match="max_retries"):
-        JobSpec(workload="w", max_retries=-1).validate()
+        JobSpec(workload="rodinia/bfs", max_retries=-1).validate()
 
 
 def test_spec_rejects_chaos_seed_with_faults():
     with pytest.raises(ServiceError, match="mutually exclusive"):
         JobSpec(
-            workload="w", chaos_seed=3,
+            workload="rodinia/bfs", chaos_seed=3,
             faults={"seed": 1, "worker_crash_rate": 0.5},
         ).validate()
 
 
 def test_spec_rejects_malformed_fault_plan():
     with pytest.raises(ServiceError, match="bad job fault plan"):
-        JobSpec(workload="w", faults={"no_such_fault": 1.0}).validate()
+        JobSpec(
+            workload="rodinia/bfs", faults={"no_such_fault": 1.0}
+        ).validate()
 
 
 def test_spec_roundtrips_new_fields():
     spec = JobSpec.from_dict(
         {
-            "workload": "w",
+            "workload": "rodinia/bfs",
             "deadline_s": 4.5,
             "max_retries": 3,
             "faults": {"seed": 9, "hung_worker_rate": 0.5,

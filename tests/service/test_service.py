@@ -14,7 +14,7 @@ from repro.errors import ServiceError
 from repro.gpu.timing import RTX_2080_TI
 from repro.resilience import FaultPlan
 from repro.service import JobSpec, JobState, ProfilingService, ServiceConfig
-from repro.service.worker import CRASH_ENV
+from repro.service import service as service_module
 from repro.tool.config import ToolConfig
 from repro.tool.valueexpert import ValueExpert
 from repro.workloads import get_workload
@@ -22,6 +22,48 @@ from repro.workloads import get_workload
 from tests.service.conftest import SCALE
 
 CHAOS_SEED = 5
+
+#: A service-scope plan whose every attempt hard-exits its worker.
+ALWAYS_CRASH = {"seed": 1, "worker_crash_rate": 1.0, "scope": "service"}
+
+#: Every metric family the ``fleet`` scrape exposes: the three
+#: collectors' own series plus the worker pipelines' merged registries.
+FLEET_FAMILIES = sorted(
+    """
+    repro_analyzer_digest_moves_total repro_analyzer_duplicate_groups_total
+    repro_analyzer_fine_views_total repro_analyzer_hit_occurrences_total
+    repro_analyzer_launch_seconds repro_analyzer_pattern_hits_total
+    repro_analyzer_tracked_digests repro_collector_binder_rebuilds
+    repro_collector_buffer_flushes_total repro_collector_interval_sweeps_total
+    repro_collector_launch_seconds repro_collector_memory_apis_total
+    repro_collector_merged_intervals_total repro_collector_records_total
+    repro_collector_snapshot_bytes repro_collector_snapshot_copies
+    repro_collector_tracked_objects repro_flowgraph_api_events_total
+    repro_flowgraph_edges repro_flowgraph_vertices
+    repro_job_elapsed_seconds repro_job_pattern_hits repro_job_retries_total
+    repro_job_self_seconds repro_job_timeouts_total
+    repro_offline_resolved_hits_total repro_offline_untyped_groups_total
+    repro_resilience_alloc_failures repro_resilience_budget_fallbacks
+    repro_resilience_corrupted_copies repro_resilience_degradation_level
+    repro_resilience_degraded repro_resilience_dropped_records
+    repro_resilience_dropped_records_total repro_resilience_faults_injected
+    repro_resilience_quarantined_launches repro_resilience_repaired_records
+    repro_resilience_salvaged_frames repro_resilience_stub_kernels
+    repro_resilience_workload_aborted
+    repro_runtime_api_calls_total repro_runtime_modelled_seconds_total
+    repro_service_busy_workers repro_service_collector_errors_total
+    repro_service_durable repro_service_job_latency_seconds
+    repro_service_job_queue_seconds repro_service_job_run_seconds
+    repro_service_jobs repro_service_jobs_completed_total
+    repro_service_queue_depth repro_service_recovered_jobs
+    repro_service_uptime_seconds repro_service_wal_torn_on_load
+    repro_service_worker_utilization repro_service_workers
+    repro_tool_profiles_total repro_tool_shard_count
+    repro_tool_shard_critical_path_seconds repro_tool_shard_merge_seconds
+    repro_tool_sharded_replays_total
+    repro_worker_crashes_total repro_worker_kills_total
+    """.split()
+)
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +162,17 @@ def test_scrape_carries_resilience_gauges(fleet):
     assert f"repro_resilience_degraded{{{label}}}" in text
 
 
+def test_scrape_emits_every_family_without_collector_errors(fleet):
+    service, _records = fleet
+    text = service.scrape()
+    families = sorted(
+        line.split()[2] for line in text.splitlines()
+        if line.startswith("# TYPE ")
+    )
+    assert families == FLEET_FAMILIES
+    assert service.collector_errors == {}
+
+
 def test_chrome_trace_has_one_lane_per_job(fleet):
     service, records = fleet
     events = json.loads(service.chrome_trace())
@@ -137,24 +190,21 @@ def test_status_document(fleet):
     status = service.status()
     assert status["jobs"]["done"] == 4
     assert status["workers"] == 4
-    assert {c["name"] for c in status["collectors"]} >= {
-        "service", "jobs", "resilience",
-    }
+    assert status["collectors"] == ["jobs", "resilience", "service"]
 
 
 # -- paths that need their own service instance ------------------------------
 
 
-def test_worker_crash_lands_in_failed(service_factory, monkeypatch):
-    monkeypatch.setenv(CRASH_ENV, "doomed")
+def test_worker_crash_lands_in_failed(service_factory):
     service = service_factory(workers=1)
     record = service.submit(
-        JobSpec(workload="rodinia/bfs", scale=0.25, label="doomed")
+        JobSpec(workload="rodinia/bfs", scale=0.25, faults=ALWAYS_CRASH)
     )
     service.store.wait(record.id, timeout=120.0)
     assert record.state is JobState.FAILED
     assert "crashed without reporting" in record.error
-    assert "exit code 13" in record.error
+    assert "exit code 17" in record.error
 
 
 def test_worker_error_detail_reaches_record(service_factory):
@@ -165,13 +215,13 @@ def test_worker_error_detail_reaches_record(service_factory):
     assert "TraceError" in record.error or "Error" in record.error
 
 
-def test_failed_job_folds_nothing(service_factory, monkeypatch):
-    monkeypatch.setenv(CRASH_ENV, "doomed")
+def test_failed_job_folds_nothing(service_factory):
     service = service_factory(workers=1)
     record = service.submit(
-        JobSpec(workload="rodinia/bfs", scale=0.25, label="doomed")
+        JobSpec(workload="rodinia/bfs", scale=0.25, faults=ALWAYS_CRASH)
     )
     service.store.wait(record.id, timeout=120.0)
+    assert "exit code 17" in record.error
     assert service.job_metrics.names() == []
     text = service.scrape()
     assert 'repro_service_jobs_completed_total{outcome="failed"} 1' in text
@@ -184,31 +234,44 @@ def test_submit_rejected_after_shutdown(service_factory):
         service.submit(JobSpec(workload="rodinia/bfs"))
 
 
-def test_third_party_collector_reaches_scrape(service_factory, tmp_path):
-    plugin_dir = tmp_path / "plugins"
-    plugin_dir.mkdir()
-    (plugin_dir / "collector_site.py").write_text(
-        "def collect(service, registry):\n"
-        "    registry.gauge('site_rack_temp_celsius', 'rack temp')"
-        ".set(21.5)\n"
-    )
-    service = service_factory(collector_dirs=(str(plugin_dir),))
-    assert "site_rack_temp_celsius 21.5" in service.scrape()
+def test_collector_failure_is_isolated(service_factory, monkeypatch):
+    def explode(service, registry):
+        raise RuntimeError("scrape-time explosion")
 
-
-def test_collector_failure_is_isolated(service_factory, tmp_path):
-    plugin_dir = tmp_path / "plugins"
-    plugin_dir.mkdir()
-    (plugin_dir / "collector_flaky.py").write_text(
-        "def collect(service, registry):\n"
-        "    raise RuntimeError('scrape-time explosion')\n"
+    monkeypatch.setattr(
+        service_module,
+        "COLLECTORS",
+        tuple(
+            (name, explode if name == "resilience" else collect)
+            for name, collect in service_module.COLLECTORS
+        ),
     )
-    service = service_factory(collector_dirs=(str(plugin_dir),))
+    service = service_factory()
     text = service.scrape()
-    # The built-ins still produced output and the failure is counted.
+    # The other two collectors still produced output; the failure is
+    # counted under the failing collector's name.
+    assert "# TYPE repro_job_elapsed_seconds gauge" in text
     assert "repro_service_uptime_seconds" in text
-    assert service.collector_errors["flaky"] == 1
+    assert "repro_resilience_degraded" not in text
+    assert service.collector_errors == {"resilience": 1}
     assert (
-        'repro_service_collector_errors_total{collector="flaky"} 1'
-        in service.scrape()
+        'repro_service_collector_errors_total{collector="resilience"} 1'
+        in text
     )
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"workers": 0}, "workers must be >= 1"),
+        ({"workers": -3}, "workers must be >= 1"),
+        ({"max_queue_depth": -1}, "max_queue_depth must be >= 0"),
+        ({"default_deadline_s": 0.0}, "default_deadline_s must be > 0"),
+        ({"default_deadline_s": -2.0}, "default_deadline_s must be > 0"),
+    ],
+)
+def test_malformed_config_rejected_at_construction(tmp_path, overrides, message):
+    state_dir = tmp_path / "state"
+    with pytest.raises(ServiceError, match=message):
+        ProfilingService(ServiceConfig(state_dir=str(state_dir), **overrides))
+    assert not state_dir.exists()

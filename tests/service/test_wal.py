@@ -120,7 +120,7 @@ def test_unwritable_path_raises_service_error(tmp_path):
 def test_store_replays_every_lifecycle(tmp_path):
     path = _wal(tmp_path)
     store = JobStore(wal_path=path)
-    done = store.submit(JobSpec(workload="w"))
+    done = store.submit(JobSpec(workload="rodinia/bfs"))
     store.claim()
     store.mark_done(
         done.id,
@@ -129,12 +129,12 @@ def test_store_replays_every_lifecycle(tmp_path):
             pattern_counts={"single_value": 3}, elapsed_s=1.5,
         ),
     )
-    failed = store.submit(JobSpec(workload="w"))
+    failed = store.submit(JobSpec(workload="rodinia/bfs"))
     store.claim()
     store.mark_failed(failed.id, "exploded")
-    cancelled = store.submit(JobSpec(workload="w"))
+    cancelled = store.submit(JobSpec(workload="rodinia/bfs"))
     store.mark_cancelled(cancelled.id, "not wanted")
-    queued = store.submit(JobSpec(workload="w"))
+    queued = store.submit(JobSpec(workload="rodinia/bfs"))
     store.close()
 
     revived = JobStore(wal_path=path)
@@ -151,7 +151,7 @@ def test_store_replays_every_lifecycle(tmp_path):
     assert all(r.recovered for r in revived.list())
     assert revived.recovered_jobs == 4
     # The id sequence continues where the dead store stopped.
-    fresh = revived.submit(JobSpec(workload="w"))
+    fresh = revived.submit(JobSpec(workload="rodinia/bfs"))
     assert fresh.id == "job-0005"
     assert not fresh.recovered
     revived.close()
@@ -160,7 +160,7 @@ def test_store_replays_every_lifecycle(tmp_path):
 def test_store_replay_requeues_in_flight_with_budget(tmp_path):
     path = _wal(tmp_path)
     store = JobStore(wal_path=path)
-    record = store.submit(JobSpec(workload="w", max_retries=1))
+    record = store.submit(JobSpec(workload="rodinia/bfs", max_retries=1))
     store.claim()
     store.close()  # daemon "dies" with the job RUNNING
 
@@ -180,7 +180,7 @@ def test_store_replay_requeues_in_flight_with_budget(tmp_path):
 def test_store_replay_fails_in_flight_without_budget(tmp_path):
     path = _wal(tmp_path)
     store = JobStore(wal_path=path)
-    record = store.submit(JobSpec(workload="w", max_retries=0))
+    record = store.submit(JobSpec(workload="rodinia/bfs", max_retries=0))
     store.claim()
     store.close()
 
@@ -195,7 +195,7 @@ def test_store_replay_fails_in_flight_without_budget(tmp_path):
 def test_store_replay_honors_cancel_requested_mid_flight(tmp_path):
     path = _wal(tmp_path)
     store = JobStore(wal_path=path)
-    record = store.submit(JobSpec(workload="w", max_retries=3))
+    record = store.submit(JobSpec(workload="rodinia/bfs", max_retries=3))
     store.claim()
     store.request_cancel(record.id)
     store.close()
@@ -208,8 +208,8 @@ def test_store_replay_honors_cancel_requested_mid_flight(tmp_path):
 def test_store_replay_survives_torn_tail(tmp_path):
     path = _wal(tmp_path)
     store = JobStore(wal_path=path)
-    first = store.submit(JobSpec(workload="w"))
-    store.submit(JobSpec(workload="w"))
+    first = store.submit(JobSpec(workload="rodinia/bfs"))
+    store.submit(JobSpec(workload="rodinia/bfs"))
     store.close()
     # Tear the last entry mid-line, as a crash mid-append would.
     with open(path, "rb") as handle:
@@ -230,7 +230,7 @@ def test_retry_requeue_is_replayed(tmp_path):
     store = JobStore(
         wal_path=path, backoff_base_s=0.01, backoff_cap_s=0.02
     )
-    record = store.submit(JobSpec(workload="w", max_retries=2))
+    record = store.submit(JobSpec(workload="rodinia/bfs", max_retries=2))
     store.claim()
     store.finish_attempt(record.id, "first boom")
     store.close()
@@ -249,7 +249,7 @@ def test_retry_requeue_is_replayed(tmp_path):
 def test_wal_entries_are_compact_json_lines(tmp_path):
     path = _wal(tmp_path)
     store = JobStore(wal_path=path)
-    store.submit(JobSpec(workload="w"))
+    store.submit(JobSpec(workload="rodinia/bfs"))
     store.close()
     with open(path, "rb") as handle:
         lines = handle.read().splitlines()

@@ -145,13 +145,49 @@ ALL_SUBCOMMANDS = (
 ).split()
 
 
-def test_parser_lists_every_subcommand():
+def _subcommands():
     parser = build_parser()
-    sub = next(
+    return next(
         action for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
-    )
-    assert list(sub.choices) == ALL_SUBCOMMANDS
+    ).choices
+
+
+def test_parser_lists_every_subcommand():
+    assert list(_subcommands()) == ALL_SUBCOMMANDS
+
+
+SERVE_OPTIONS = (
+    "-h --help --host --port --workers --spool --drain-timeout "
+    "--state-dir --max-queue --default-deadline"
+).split()
+
+
+def test_serve_option_strings():
+    serve = _subcommands()["serve"]
+    options = [
+        option for action in serve._actions
+        for option in action.option_strings
+    ]
+    assert options == SERVE_OPTIONS
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--workers", "0"], "workers must be >= 1"),
+        (["--workers", "-3"], "workers must be >= 1"),
+        (["--max-queue", "-1"], "max_queue_depth must be >= 0"),
+        (["--default-deadline", "0"], "default_deadline_s must be > 0"),
+    ],
+)
+def test_serve_rejects_malformed_settings(tmp_path, capsys, flags, message):
+    args = ["serve", "--port", "0", "--spool", str(tmp_path / "spool")]
+    assert main(args + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"repro: error: {message}")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "listening" not in captured.out
 
 
 @pytest.fixture(scope="module")
