@@ -12,10 +12,9 @@ registry and per-stage overhead), ``trace`` (Chrome-trace timeline,
 ``--self`` adds the profiler's own spans), ``health`` (a resilient,
 optionally chaos-injected run; exits 0 however degraded, and
 ``--shrink`` minimizes the chaos plan), ``lint`` (static value-pattern
-linter; exits 1 on error findings), ``trace-diff`` (diff two recordings
+linter; exits 1 on error findings) and ``trace-diff`` (diff two recordings
 against a committed baseline; exits 1 on un-baselined ``--fail-on``
-deltas) and ``serve`` (the profiling daemon; SIGTERM drains it).  See
-``docs/`` for each.
+deltas).  See ``docs/`` for each.
 
 Any :class:`~repro.errors.ReproError` (a bad trace or profile file, an
 out-of-memory workload, an invalid configuration) exits nonzero with a
@@ -578,67 +577,6 @@ def _cmd_trace_diff(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    # Imported here so the one-shot CLI paths never pay for the
-    # service stack.
-    import signal
-    import threading
-
-    from repro.service import ProfilingService, ServiceConfig
-    from repro.service.http import make_server
-
-    service = ProfilingService(
-        ServiceConfig(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            artifact_dir=args.spool,
-            drain_timeout=args.drain_timeout,
-            state_dir=args.state_dir,
-            max_queue_depth=args.max_queue,
-            default_deadline_s=args.default_deadline,
-        )
-    )
-    service.start()
-    server = make_server(service)
-    host, port = server.server_address[:2]
-    print(f"repro serve: listening on http://{host}:{port} "
-          f"({service.pool.size} workers, artifacts in "
-          f"{service.pool.artifact_dir})", flush=True)
-    if args.state_dir:
-        print(f"repro serve: durable state in {args.state_dir} "
-              f"(recovered {service.store.recovered_jobs} jobs: "
-              f"{service.store.requeued_on_recovery} requeued, "
-              f"{service.store.failed_on_recovery} failed"
-              + (", WAL tail was torn" if service.store.wal_torn_on_load
-                 else "")
-              + ")", flush=True)
-
-    def _shutdown(signum, frame):
-        # Graceful drain: stop accepting, let the backlog finish (up
-        # to --drain-timeout), then fall out of serve_forever.  The
-        # handler runs on the main thread — the one blocked inside
-        # serve_forever — and server.shutdown() waits for that loop to
-        # exit, so calling it here directly would deadlock.
-        print(f"repro serve: signal {signum}, draining...", flush=True)
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _shutdown)
-    signal.signal(signal.SIGINT, _shutdown)
-    try:
-        server.serve_forever(poll_interval=0.1)
-    finally:
-        drained = service.shutdown(drain=True)
-        server.server_close()
-        print(
-            "repro serve: "
-            + ("drained and stopped" if drained else
-               "stopped with jobs unfinished (drain timeout)"),
-            flush=True,
-        )
-    return 0
-
-
 def _add_target(cmd, scale: float = 0.5, workload: bool = True,
                 platform: bool = True) -> None:
     """The shared ``workload`` / ``--scale`` / ``--platform`` arguments."""
@@ -874,48 +812,6 @@ def _add_inspection_commands(sub) -> None:
         help="analyze each recording in N parallel worker processes",
     )
     trace_diff.set_defaults(func=_cmd_trace_diff)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the continuous-profiling daemon (HTTP job API + "
-        "Prometheus scrape endpoint)",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port", type=int, default=8321,
-        help="listen port (0 picks a free port, printed on startup)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=2,
-        help="concurrent worker processes (default: 2)",
-    )
-    serve.add_argument(
-        "--spool", metavar="DIR",
-        help="artifact directory for profile/trace JSON "
-        "(default: a fresh temp dir)",
-    )
-    serve.add_argument(
-        "--drain-timeout", type=float, default=60.0,
-        help="seconds a SIGTERM drain waits for the backlog",
-    )
-    serve.add_argument(
-        "--state-dir", metavar="DIR",
-        help="durable state directory: the job WAL lives here and is "
-        "replayed on startup, so a killed daemon restarted with the "
-        "same directory recovers every job",
-    )
-    serve.add_argument(
-        "--max-queue", type=int, default=None, metavar="N",
-        help="admission limit: reject submissions beyond N queued jobs "
-        "with HTTP 429 + Retry-After (default: unbounded)",
-    )
-    serve.add_argument(
-        "--default-deadline", type=float, default=None, metavar="SECONDS",
-        help="deadline for jobs whose spec sets none; expired workers "
-        "are terminated (then killed) and the attempt fails as timed "
-        "out (default: unlimited)",
-    )
-    serve.set_defaults(func=_cmd_serve)
 
 
 def build_parser() -> argparse.ArgumentParser:

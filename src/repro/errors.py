@@ -81,32 +81,6 @@ class FaultInjected(ReproError):
     """
 
 
-class ServiceError(ReproError):
-    """Raised by the continuous-profiling service (:mod:`repro.service`).
-
-    Covers malformed job specifications, illegal job-state transitions
-    (e.g. cancelling an already-finished job), and daemon lifecycle
-    misuse (submitting to a stopped service).
-    """
-
-
-class UnknownJobError(ServiceError):
-    """Raised when a service request names a job id the store has never
-    seen; the HTTP layer maps it to 404 (other service errors are 400).
-    """
-
-
-class QueueFullError(ServiceError):
-    """Raised when a job submission exceeds the service's admission
-    limit (``max_queue_depth``); the HTTP layer maps it to 429 with a
-    ``Retry-After`` header carrying :attr:`retry_after_s`.
-    """
-
-    def __init__(self, message: str, retry_after_s: float = 1.0):
-        super().__init__(message)
-        self.retry_after_s = retry_after_s
-
-
 class DegradedProfileWarning(UserWarning):
     """Warned (never raised) when a profile completed degraded.
 
@@ -131,8 +105,5 @@ __all__ = [
     "WorkloadError",
     "TraceError",
     "FaultInjected",
-    "ServiceError",
-    "UnknownJobError",
-    "QueueFullError",
     "DegradedProfileWarning",
 ]

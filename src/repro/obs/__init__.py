@@ -41,7 +41,6 @@ or the CLI: ``python -m repro stats <workload>`` and
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Tuple
 
 from repro.obs.metrics import (
     Counter,
@@ -59,19 +58,10 @@ ENABLED = False
 _registry = MetricsRegistry()
 _tracer = SpanTracer()
 
-#: enable()/disable() nest by reference count so concurrent scoped
-#: profiling runs in one process do not switch each other off.
+#: enable()/disable() nest by reference count so overlapping enabled
+#: runs in one process do not switch each other off.
 _enabled_depth = 0
 _enabled_lock = threading.Lock()
-
-_scopes = threading.local()
-
-
-def _scope_stack() -> List[Tuple[MetricsRegistry, SpanTracer]]:
-    stack = getattr(_scopes, "stack", None)
-    if stack is None:
-        stack = _scopes.stack = []
-    return stack
 
 
 def enable() -> None:
@@ -85,8 +75,8 @@ def enable() -> None:
 def disable() -> None:
     """Turn self-telemetry off; recorded data stays readable.
 
-    Enable/disable pairs nest: with two concurrent scoped runs enabled,
-    the first ``disable()`` leaves telemetry on for the survivor.
+    Enable/disable pairs nest: with two overlapping runs enabled, the
+    first ``disable()`` leaves telemetry on for the survivor.
     Unpaired calls clamp at zero, so "switch it off" still works.
     """
     global ENABLED, _enabled_depth
@@ -96,70 +86,23 @@ def disable() -> None:
 
 
 def reset() -> None:
-    """Drop the current scope's recorded metrics and spans (flag
-    state unchanged)."""
-    registry().clear()
-    tracer().clear()
+    """Drop the recorded metrics and spans (flag state unchanged)."""
+    _registry.clear()
+    _tracer.clear()
 
 
 def registry() -> MetricsRegistry:
-    """The current scope's metrics registry (process-wide by default)."""
-    stack = _scope_stack()
-    return stack[-1][0] if stack else _registry
+    """The process-wide metrics registry."""
+    return _registry
 
 
 def tracer() -> SpanTracer:
-    """The current scope's span tracer (process-wide by default)."""
-    stack = _scope_stack()
-    return stack[-1][1] if stack else _tracer
-
-
-class scoped:
-    """Route telemetry to private instruments within a ``with`` block.
-
-    ::
-
-        job_registry, job_tracer = MetricsRegistry(), SpanTracer()
-        with telemetry.scoped(job_registry, job_tracer):
-            ...  # every telemetry.counter()/span() lands in them
-
-    The scope is **thread-local**: two threads each inside their own
-    ``scoped`` block record to their own instruments with no
-    cross-talk, which is what makes the :class:`~repro.tool.
-    valueexpert.ValueExpert` facade re-entrant — concurrent jobs no
-    longer share the module-global registry/tracer.  Omitted arguments
-    get fresh instruments, readable from the ``.registry`` /
-    ``.tracer`` attributes afterwards.  ``enable=True`` (default)
-    also turns telemetry on for the block, refcounted against other
-    concurrent scopes.
-    """
-
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[SpanTracer] = None,
-        enable: bool = True,
-    ):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else SpanTracer()
-        self._enable = enable
-
-    def __enter__(self) -> "scoped":
-        _scope_stack().append((self.registry, self.tracer))
-        if self._enable:
-            enable()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._enable:
-            disable()
-        stack = _scope_stack()
-        if stack and stack[-1] == (self.registry, self.tracer):
-            stack.pop()
+    """The process-wide span tracer."""
+    return _tracer
 
 
 def span(name: str, **attrs: object):
-    """Context manager timing one phase on the current scope's tracer.
+    """Context manager timing one phase on the process-wide tracer.
 
     Call sites must still guard with ``if telemetry.ENABLED:`` — the
     helper itself records unconditionally.
@@ -168,17 +111,17 @@ def span(name: str, **attrs: object):
 
 
 def counter(name: str, help: str = "", labelnames=()) -> Counter:
-    """Get-or-create a counter on the current scope's registry."""
+    """Get-or-create a counter on the process-wide registry."""
     return registry().counter(name, help, labelnames)
 
 
 def gauge(name: str, help: str = "", labelnames=()) -> Gauge:
-    """Get-or-create a gauge on the current scope's registry."""
+    """Get-or-create a gauge on the process-wide registry."""
     return registry().gauge(name, help, labelnames)
 
 
 def histogram(name: str, help: str = "", labelnames=(), buckets=None) -> Histogram:
-    """Get-or-create a histogram on the current scope's registry."""
+    """Get-or-create a histogram on the process-wide registry."""
     return registry().histogram(name, help, labelnames, buckets)
 
 
@@ -219,7 +162,6 @@ __all__ = [
     "histogram",
     "registry",
     "reset",
-    "scoped",
     "span",
     "tracer",
 ]

@@ -14,7 +14,7 @@ or https://ui.perfetto.dev.  This is the ``python -m repro trace
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.gpu.runtime import (
     ApiEvent,
@@ -24,7 +24,7 @@ from repro.gpu.runtime import (
     MemsetEvent,
     RuntimeListener,
 )
-from repro.obs.spans import SELF_PID, Span, SpanTracer, chrome_events_for_spans
+from repro.obs.spans import SpanTracer
 
 if TYPE_CHECKING:
     from repro.analysis.profile import ValueProfile
@@ -193,26 +193,3 @@ def merged_trace_json(
     """The merged timeline as a Chrome-trace JSON array string."""
     return json.dumps(merged_events(app_events, tracer), indent=1)
 
-
-def lane_events(
-    lanes: Sequence[Tuple[str, List[Span]]], base_pid: int = SELF_PID
-) -> List[dict]:
-    """One Chrome-trace lane per (label, spans) pair.
-
-    Lane ``i`` gets pid ``base_pid + i`` (pid 0 stays reserved for the
-    modelled application stream), so concurrent jobs' timelines render
-    as separate process rows instead of interleaving on one.
-    """
-    events: List[dict] = []
-    for index, (label, spans) in enumerate(lanes):
-        events.extend(
-            chrome_events_for_spans(spans, pid=base_pid + index, label=label)
-        )
-    return events
-
-
-def lane_trace_json(
-    lanes: Sequence[Tuple[str, List[Span]]], base_pid: int = SELF_PID
-) -> str:
-    """The multi-lane timeline as a Chrome-trace JSON array string."""
-    return json.dumps(lane_events(lanes, base_pid=base_pid), indent=1)

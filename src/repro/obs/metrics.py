@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidValueError
 from repro.utils.stats import percentile
@@ -61,18 +61,6 @@ class Metric:
         self.help = help
         self.labelnames = tuple(labelnames)
         self._children: Dict[Tuple[str, ...], "Metric"] = {}
-        self._lock = threading.Lock()
-
-    def __getstate__(self) -> Dict[str, object]:
-        # Locks are not picklable; worker processes ship metric state
-        # back to the service across a pipe, so drop them here and
-        # recreate on unpickle.
-        state = self.__dict__.copy()
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
         self._lock = threading.Lock()
 
     def labels(self, **labelvalues: object) -> "Metric":
@@ -117,10 +105,6 @@ class Metric:
                 rows.append((suffix, merged, value))
         return rows
 
-    def _merge_from(self, other: "Metric") -> None:
-        """Fold another instrument's state into this one (same kind)."""
-        raise NotImplementedError
-
 
 class Counter(Metric):
     """Monotonically increasing count (events, bytes, records)."""
@@ -140,10 +124,6 @@ class Counter(Metric):
 
     def _samples(self) -> List[Tuple[str, str, float]]:
         return [("", "", self.value)]
-
-    def _merge_from(self, other: "Metric") -> None:
-        with self._lock:
-            self.value += other.value
 
 
 class Gauge(Metric):
@@ -168,10 +148,6 @@ class Gauge(Metric):
 
     def _samples(self) -> List[Tuple[str, str, float]]:
         return [("", "", self.value)]
-
-    def _merge_from(self, other: "Metric") -> None:
-        # A gauge is a point-in-time level: the merged-in side wins.
-        self.value = other.value
 
 
 class Histogram(Metric):
@@ -211,17 +187,14 @@ class Histogram(Metric):
     def observe(self, value: float) -> None:
         """Record one observation."""
         with self._lock:
-            self._observe_locked(value)
-
-    def _observe_locked(self, value: float) -> None:
-        self.sum += value
-        self.count += 1
-        self._observations.append(float(value))
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self._counts[i] += 1
-                return
-        self._counts[-1] += 1
+            self.sum += value
+            self.count += 1
+            self._observations.append(float(value))
+            for i, bound in enumerate(self.buckets):
+                if value <= bound:
+                    self._counts[i] += 1
+                    return
+            self._counts[-1] += 1
 
     def quantile(self, p: float) -> float:
         """Exact ``p``-th percentile over the retained observations."""
@@ -242,35 +215,17 @@ class Histogram(Metric):
         rows.append(("_count", "", float(total)))
         return rows
 
-    def _merge_from(self, other: "Metric") -> None:
-        # Raw observations are retained, so merging is exact re-observation;
-        # an untouched target first adopts the source's bucket bounds.
-        with self._lock:
-            if self.count == 0 and not any(self._counts):
-                self.configure_buckets(other.buckets)
-            for value in other._observations:
-                self._observe_locked(value)
-
 
 class MetricsRegistry:
     """Owns every instrument; get-or-create by name, export in bulk.
 
     Registration, child creation, and exposition snapshots are
-    thread-safe: a service thread can scrape :meth:`to_prometheus`
-    while worker threads are still creating and updating instruments.
+    thread-safe: one thread can scrape :meth:`to_prometheus` while
+    others are still creating and updating instruments.
     """
 
     def __init__(self):
         self._metrics: Dict[str, Metric] = {}
-        self._lock = threading.RLock()
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = self.__dict__.copy()
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
         self._lock = threading.RLock()
 
     def _get_or_create(
@@ -342,47 +297,6 @@ class MetricsRegistry:
         """Drop every registered instrument."""
         with self._lock:
             self._metrics.clear()
-
-    def merge(
-        self,
-        other: "MetricsRegistry",
-        extra_labels: Optional[Mapping[str, object]] = None,
-    ) -> None:
-        """Fold another registry's instruments into this one.
-
-        Every metric of ``other`` is get-or-created here under the same
-        name and kind; counters add, gauges take the merged-in value,
-        histograms re-observe the source's retained observations (so
-        bucket counts, sums, and exact quantiles stay correct).
-
-        ``extra_labels`` prepends label dimensions to every merged
-        series — the continuous-profiling service uses this to fold
-        each worker's per-job registry into the scrape output as
-        ``{job="...", workload="..."}``-labelled series.  A name
-        already registered here with an incompatible kind or label set
-        raises :class:`~repro.errors.InvalidValueError`.
-        """
-        extra = dict(extra_labels or {})
-        extra_names = tuple(extra)
-        extra_values = {name: str(value) for name, value in extra.items()}
-        for metric in other:
-            labelnames = extra_names + metric.labelnames
-            target = self._get_or_create(
-                type(metric), metric.name, metric.help, labelnames
-            )
-            if not target.help and metric.help:
-                target.help = metric.help
-            if metric.labelnames:
-                with metric._lock:
-                    children = list(metric._children.items())
-                for key, child in children:
-                    values = dict(extra_values)
-                    values.update(zip(metric.labelnames, key))
-                    target.labels(**values)._merge_from(child)
-            elif labelnames:
-                target.labels(**extra_values)._merge_from(metric)
-            else:
-                target._merge_from(metric)
 
     # -- exposition --------------------------------------------------------
 

@@ -89,15 +89,9 @@ class _ActiveSpan:
 
 
 class SpanTracer:
-    """Records nested spans and exports a Chrome-trace timeline.
+    """Records nested spans and exports a Chrome-trace timeline."""
 
-    ``label`` names the tracer's process row in the exported timeline;
-    services running many jobs give each job's tracer its own label and
-    export each on its own pid lane (see :func:`chrome_events_for_spans`).
-    """
-
-    def __init__(self, label: str = DEFAULT_LABEL):
-        self.label = label
+    def __init__(self):
         self.spans: List[Span] = []
         self._stack: List[_ActiveSpan] = []
         self._epoch: Optional[float] = None
@@ -170,7 +164,7 @@ class SpanTracer:
         All spans share one tid; Perfetto nests them by ts/dur
         containment, which the stack discipline guarantees.
         """
-        return chrome_events_for_spans(self.spans, pid=pid, label=self.label)
+        return chrome_events_for_spans(self.spans, pid=pid)
 
     def to_json(self) -> str:
         """The self-span timeline alone, as a Chrome-trace JSON array."""
@@ -183,10 +177,7 @@ def chrome_events_for_spans(
     """Chrome-trace events for a list of finished spans on one pid lane.
 
     The lane carries a ``process_name`` metadata event naming it
-    ``label``.  Tracer-less callers (a service rendering spans shipped
-    back from worker processes) use this directly, giving each job a
-    distinct pid so concurrent jobs land on separate lanes instead of
-    interleaving on one timeline.
+    ``label``.
     """
     events: List[dict] = []
     if spans:

@@ -17,12 +17,7 @@ under an empty plan the pipeline is byte-identical to the unhardened
 one.  See ``docs/resilience.md``.
 """
 
-from repro.resilience.faults import (
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    draw_service_fault,
-)
+from repro.resilience.faults import FaultInjector, FaultKind, FaultPlan
 from repro.resilience.health import DEGRADATION_LADDER, HealthReport
 
 __all__ = [
@@ -31,5 +26,4 @@ __all__ = [
     "FaultKind",
     "FaultPlan",
     "HealthReport",
-    "draw_service_fault",
 ]

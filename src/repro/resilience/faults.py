@@ -12,10 +12,7 @@ when attached to a real GPU application:
 - **torn ``.vetrace`` writes** (the recording process dying mid-frame);
 - **timing perturbation** (kernel/memcpy latency multipliers and
   seeded jitter — a thermally throttled card or congested link; values
-  are untouched, so pattern hits stay byte-identical);
-- **service-scope faults** consulted by the continuous-profiling
-  daemon rather than the pipeline: hung/slow/crashing worker
-  processes and torn write-ahead-log tails (see ``docs/service.md``).
+  are untouched, so pattern hits stay byte-identical).
 
 A :class:`FaultPlan` is a frozen, *seeded* description of which faults
 fire and how often; a :class:`FaultInjector` executes the plan with a
@@ -47,10 +44,14 @@ class FaultKind(enum.Enum):
     KERNEL_RAISE = "kernel_raise"
     TRACE_TEAR = "trace_tear"
     LATENCY = "latency"
-    HUNG_WORKER = "hung_worker"
-    SLOW_WORKER = "slow_worker"
-    WORKER_CRASH = "worker_crash"
-    TORN_WAL = "torn_wal"
+
+
+def _require_count(name: str, value: object) -> None:
+    """Raise unless ``value`` is a non-negative ``int`` (``bool`` excluded)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise InvalidValueError(
+            f"{name} must be a non-negative integer, got {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -81,26 +82,13 @@ class FaultPlan:
     kernel_latency_multiplier: float = 1.0
     memcpy_latency_multiplier: float = 1.0
     timing_jitter: float = 0.0
-    #: Service-scope faults, consulted by the daemon's worker entry and
-    #: WAL writer instead of the profiling pipeline.  One draw per job
-    #: *attempt* (seeded by ``(seed, attempt)``), so a retried job sees
-    #: an independent — but reproducible — draw each time it runs.
-    hung_worker_rate: float = 0.0
-    slow_worker_rate: float = 0.0
-    slow_worker_delay_s: float = 1.0
-    worker_crash_rate: float = 0.0
-    #: Tear the service's job WAL once, after this many appended
-    #: entries (``None`` never tears) — simulating a daemon dying
-    #: mid-write, the crash the recovery path must salvage.
-    torn_wal_after: Optional[int] = None
     #: Where the plan applies: ``"record"`` (live runs, the default),
     #: ``"replay"`` (the :class:`~repro.trace_io.replayer.TraceReplayer`
-    #: mangles the recorded record stream as it re-emits launches),
-    #: ``"both"``, or ``"service"`` (only the daemon-level faults above
-    #: fire; the pipeline never sees the plan).
+    #: mangles the recorded record stream as it re-emits launches) or
+    #: ``"both"``.
     scope: str = "record"
 
-    SCOPES = ("record", "replay", "both", "service")
+    SCOPES = ("record", "replay", "both")
 
     def __post_init__(self) -> None:
         if self.scope not in self.SCOPES:
@@ -113,19 +101,15 @@ class FaultPlan:
             "record_drop_rate",
             "record_tear_rate",
             "kernel_raise_rate",
-            "hung_worker_rate",
-            "slow_worker_rate",
-            "worker_crash_rate",
         ):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise InvalidValueError(
                     f"{name} must be a probability in [0, 1], got {rate}"
                 )
-        if self.trace_tear_after is not None and self.trace_tear_after < 0:
-            raise InvalidValueError("trace_tear_after must be >= 0 or None")
-        if self.torn_wal_after is not None and self.torn_wal_after < 0:
-            raise InvalidValueError("torn_wal_after must be >= 0 or None")
+        _require_count("seed", self.seed)
+        if self.trace_tear_after is not None:
+            _require_count("trace_tear_after", self.trace_tear_after)
         for name in ("kernel_latency_multiplier", "memcpy_latency_multiplier"):
             if getattr(self, name) <= 0.0:
                 raise InvalidValueError(f"{name} must be > 0")
@@ -134,8 +118,6 @@ class FaultPlan:
                 f"timing_jitter must be a fraction in [0, 1), "
                 f"got {self.timing_jitter}"
             )
-        if self.slow_worker_delay_s < 0.0:
-            raise InvalidValueError("slow_worker_delay_s must be >= 0")
 
     @property
     def applies_to_record(self) -> bool:
@@ -157,19 +139,9 @@ class FaultPlan:
         )
 
     @property
-    def has_service_faults(self) -> bool:
-        """Whether any daemon-level (worker/WAL) fault can fire."""
-        return (
-            self.hung_worker_rate > 0.0
-            or self.slow_worker_rate > 0.0
-            or self.worker_crash_rate > 0.0
-            or self.torn_wal_after is not None
-        )
-
-    @property
-    def has_pipeline_faults(self) -> bool:
-        """Whether the profiling pipeline itself can see a fault."""
-        return (
+    def is_empty(self) -> bool:
+        """Whether this plan can never fire a fault."""
+        return not (
             self.alloc_failure_rate > 0.0
             or self.corruption_rate > 0.0
             or self.record_drop_rate > 0.0
@@ -178,11 +150,6 @@ class FaultPlan:
             or self.trace_tear_after is not None
             or self.has_timing_faults
         )
-
-    @property
-    def is_empty(self) -> bool:
-        """Whether this plan can never fire a fault."""
-        return not (self.has_pipeline_faults or self.has_service_faults)
 
     @classmethod
     def none(cls) -> "FaultPlan":
@@ -197,6 +164,7 @@ class FaultPlan:
         class gets a seed-derived rate, so a seed matrix sweeps the
         fault space reproducibly.
         """
+        _require_count("seed", seed)
         rng = np.random.default_rng(seed)
         # Draw order is append-only: the original fault rates consume
         # the same draws as before, so a given seed keeps its historic
@@ -232,11 +200,6 @@ class FaultPlan:
             "kernel_latency_multiplier": self.kernel_latency_multiplier,
             "memcpy_latency_multiplier": self.memcpy_latency_multiplier,
             "timing_jitter": self.timing_jitter,
-            "hung_worker_rate": self.hung_worker_rate,
-            "slow_worker_rate": self.slow_worker_rate,
-            "slow_worker_delay_s": self.slow_worker_delay_s,
-            "worker_crash_rate": self.worker_crash_rate,
-            "torn_wal_after": self.torn_wal_after,
             "scope": self.scope,
         }
 
@@ -244,9 +207,9 @@ class FaultPlan:
     def from_dict(cls, data: Dict) -> "FaultPlan":
         """Inverse of :meth:`to_dict` (unknown keys rejected).
 
-        The service's job specs carry fault plans as plain JSON; this
-        is where they rehydrate — with the same validation a directly
-        constructed plan gets.
+        Reads a plan back from JSON (such as ``repro health --json``
+        output) with the same validation a directly constructed plan
+        gets.
         """
         if not isinstance(data, dict):
             raise InvalidValueError("fault plan must be a JSON object")
@@ -267,14 +230,11 @@ class FaultPlan:
         The shrinker's unit of work: each active field is one fault
         class it tries to zero out.
         """
-        defaults = FaultPlan(
-            seed=self.seed, scope=self.scope,
-            slow_worker_delay_s=self.slow_worker_delay_s,
-        )
+        defaults = FaultPlan(seed=self.seed, scope=self.scope)
         return [
             name
             for name, value in self.to_dict().items()
-            if name not in ("seed", "scope", "slow_worker_delay_s")
+            if name not in ("seed", "scope")
             and value != getattr(defaults, name)
         ]
 
@@ -298,7 +258,6 @@ class FaultInjector:
         self.counts: Dict[FaultKind, int] = {kind: 0 for kind in FaultKind}
         self.events: List[str] = []
         self._trace_torn = False
-        self._wal_torn = False
 
     @property
     def total_injected(self) -> int:
@@ -458,37 +417,3 @@ class FaultInjector:
         )
         return True
 
-    # -- service-layer hooks -------------------------------------------------
-
-    def take_wal_tear(self, entries_written: int) -> bool:
-        """Whether to tear the job WAL now (fires at most once)."""
-        if self._wal_torn or self.plan.torn_wal_after is None:
-            return False
-        if entries_written < self.plan.torn_wal_after:
-            return False
-        self._wal_torn = True
-        self._fire(FaultKind.TORN_WAL, f"after {entries_written} entries")
-        return True
-
-
-def draw_service_fault(
-    plan: FaultPlan, attempt: int
-) -> Optional[FaultKind]:
-    """The service fault (if any) this job attempt should suffer.
-
-    One deterministic draw per ``(plan.seed, attempt)``: the worker
-    entry point calls this before running the job, so a retried attempt
-    rolls fresh — but reproducible — dice.  Precedence when several
-    rates fire on the same draw sequence: hang > crash > slow (a hung
-    worker is the costliest failure, so it wins ties).
-    """
-    if not plan.has_service_faults:
-        return None
-    rng = np.random.default_rng([plan.seed, max(attempt, 0)])
-    if plan.hung_worker_rate and rng.random() < plan.hung_worker_rate:
-        return FaultKind.HUNG_WORKER
-    if plan.worker_crash_rate and rng.random() < plan.worker_crash_rate:
-        return FaultKind.WORKER_CRASH
-    if plan.slow_worker_rate and rng.random() < plan.slow_worker_rate:
-        return FaultKind.SLOW_WORKER
-    return None

@@ -30,7 +30,6 @@ import warnings
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import repro.obs as telemetry
-from repro.obs import MetricsRegistry, SpanTracer
 from repro.analysis.offline import OfflineAnalyzer
 from repro.analysis.online import OnlineAnalyzer
 from repro.analysis.profile import ValueProfile
@@ -72,27 +71,10 @@ class _KernelRoster(RuntimeListener):
 
 
 class ValueExpert:
-    """Profiles a workload and returns a :class:`ValueProfile`.
+    """Profiles a workload and returns a :class:`ValueProfile`."""
 
-    The facade is **re-entrant**: pass a private ``registry`` and/or
-    ``tracer`` and every telemetry point of the run lands in them (via
-    a thread-local :class:`repro.obs.scoped` scope) instead of the
-    module-global instruments, so concurrent profiling jobs — the
-    continuous-profiling service runs many at once — share no mutable
-    module state.  Without them, observability-enabled runs keep the
-    historical behaviour of recording to ``repro.obs.registry()``.
-    """
-
-    def __init__(
-        self,
-        config: Optional[ToolConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[SpanTracer] = None,
-    ):
+    def __init__(self, config: Optional[ToolConfig] = None):
         self.config = config or ToolConfig()
-        #: Per-instance telemetry instruments (None = module globals).
-        self.obs_registry = registry
-        self.obs_tracer = tracer
         #: Collector of the most recent run (counters, registry).
         self.last_collector: Optional[DataCollector] = None
         #: Runtime of the most recent run (modelled times).
@@ -101,27 +83,11 @@ class ValueExpert:
         #: event ranges) — the scaling benchmark reads these.
         self.last_shard_results: Optional[List[ShardResult]] = None
 
-    def _observed(self):
-        """Context manager activating this run's telemetry routing.
-
-        With per-instance instruments the run executes inside a
-        ``telemetry.scoped`` block (re-entrant path); otherwise the
-        legacy global enable/disable dance applies.
-        """
-        if not self.config.observability:
-            return contextlib.nullcontext()
-        if self.obs_registry is not None or self.obs_tracer is not None:
-            if self.obs_registry is None:
-                self.obs_registry = MetricsRegistry()
-            if self.obs_tracer is None:
-                self.obs_tracer = SpanTracer()
-            return telemetry.scoped(self.obs_registry, self.obs_tracer)
-        return self._observed_global()
-
-    @staticmethod
     @contextlib.contextmanager
-    def _observed_global():
-        self_observe = not telemetry.ENABLED
+    def _observed(self):
+        """Switch telemetry on for one run when ``config.observability``
+        asks for it, and back off afterwards unless it was already on."""
+        self_observe = self.config.observability and not telemetry.ENABLED
         if self_observe:
             telemetry.enable()
         try:
@@ -146,11 +112,10 @@ class ValueExpert:
         profile without re-running the workload.
 
         With ``config.observability`` the run is self-profiled: pipeline
-        metrics and nested stage spans land in this instance's
-        ``obs_registry``/``obs_tracer`` when given, else in the global
-        :mod:`repro.obs` registry/tracer (telemetry is switched back off
-        afterwards unless it was already on; recorded data persists
-        until ``repro.obs.reset()``).
+        metrics and nested stage spans land in the :mod:`repro.obs`
+        registry/tracer (telemetry is switched back off afterwards
+        unless it was already on; recorded data persists until
+        ``repro.obs.reset()``).
         """
         with self._observed():
             return self._profile(workload, runtime, platform, name, record_path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
@@ -51,8 +52,10 @@ class Workload(abc.ABC):
     meta: WorkloadMeta
 
     def __init__(self, scale: float = 1.0, seed: int = 0):
-        if scale <= 0:
-            raise WorkloadError("scale must be positive")
+        if not (math.isfinite(scale) and scale > 0):
+            raise WorkloadError(
+                f"scale must be a finite positive number, got {scale!r}"
+            )
         self.scale = scale
         self.seed = seed
         self.rng = np.random.default_rng(seed)

@@ -122,3 +122,25 @@ def test_observability_flag_restored_after_profile():
     assert not telemetry.ENABLED
     # The recorded data remains inspectable after the run.
     assert telemetry.registry().names()
+
+
+def test_refcounted_disable_keeps_survivor_enabled():
+    # Two overlapping enabled runs: the first one ending must not
+    # switch telemetry off under the second.
+    telemetry.enable()
+    telemetry.enable()
+    telemetry.disable()
+    try:
+        assert telemetry.ENABLED
+    finally:
+        telemetry.disable()
+    assert not telemetry.ENABLED
+
+
+def test_unpaired_disable_clamps_at_zero():
+    telemetry.disable()
+    telemetry.disable()
+    telemetry.enable()
+    assert telemetry.ENABLED
+    telemetry.disable()
+    assert not telemetry.ENABLED

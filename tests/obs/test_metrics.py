@@ -1,6 +1,7 @@
 """Tests for the metrics registry and its exposition formats."""
 
 import json
+import threading
 
 import pytest
 
@@ -132,3 +133,33 @@ def test_metric_kinds_exported():
     assert Counter("c").kind == "counter"
     assert Gauge("g").kind == "gauge"
     assert Histogram("h").kind == "histogram"
+
+
+def test_concurrent_updates_and_scrapes(registry):
+    """Writers on N threads + a scraping reader must not lose counts."""
+    c = registry.counter("repro_hits_total", labelnames=("t",))
+    errors = []
+
+    def writer(tag):
+        try:
+            for _ in range(500):
+                c.labels(t=tag).inc()
+        except Exception as exc:  # pragma: no cover - failure detail
+            errors.append(exc)
+
+    def scraper():
+        try:
+            for _ in range(50):
+                registry.to_prometheus()
+        except Exception as exc:  # pragma: no cover - failure detail
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=writer, args=(str(i),)) for i in range(4)
+    ] + [threading.Thread(target=scraper)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors
+    assert sum(c.labels(t=str(i)).value for i in range(4)) == 2000

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.errors import InvalidValueError
-from repro.obs.spans import SELF_PID, SpanTracer
+from repro.obs.spans import SELF_PID, SpanTracer, chrome_events_for_spans
 
 
 def test_span_records_duration():
@@ -81,6 +81,17 @@ def test_chrome_export_well_formed():
     inner = next(e for e in spans if e["name"] == "inner")
     assert outer["ts"] <= inner["ts"]
     assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"] + 0.01
+
+
+def test_chrome_events_for_spans_sorts_by_start():
+    tracer = SpanTracer()
+    with tracer.span("outer"):
+        with tracer.span("inner"):
+            pass
+    # Finish order is inner-first; export order must be start order.
+    events = chrome_events_for_spans(tracer.spans)
+    names = [e["name"] for e in events if e["ph"] == "X"]
+    assert names == ["outer", "inner"]
 
 
 def test_to_json_parses():

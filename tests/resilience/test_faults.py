@@ -17,6 +17,14 @@ class TestFaultPlan:
             FaultPlan(corruption_rate=1.5)
         with pytest.raises(InvalidValueError):
             FaultPlan(record_drop_rate=-0.1)
+        for seed in (-1, 1.5, True):
+            with pytest.raises(InvalidValueError, match="seed"):
+                FaultPlan(seed=seed)
+            with pytest.raises(InvalidValueError, match="seed"):
+                FaultPlan.chaos(seed)
+        for after in (-1, 1.5, True):
+            with pytest.raises(InvalidValueError, match="trace_tear_after"):
+                FaultPlan(trace_tear_after=after)
 
     def test_chaos_is_deterministic_per_seed(self):
         assert FaultPlan.chaos(7) == FaultPlan.chaos(7)

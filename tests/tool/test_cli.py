@@ -141,7 +141,7 @@ def test_record_default_output_name(capsys, tmp_path, monkeypatch):
 ALL_SUBCOMMANDS = (
     "list profile record replay speedup workflow view table1 table3 "
     "table4 table5 figure2 figure3 figure6 casestudies stats trace health "
-    "lint trace-diff serve"
+    "lint trace-diff"
 ).split()
 
 
@@ -157,37 +157,19 @@ def test_parser_lists_every_subcommand():
     assert list(_subcommands()) == ALL_SUBCOMMANDS
 
 
-SERVE_OPTIONS = (
-    "-h --help --host --port --workers --spool --drain-timeout "
-    "--state-dir --max-queue --default-deadline"
-).split()
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_profile_rejects_non_finite_scale(capsys, scale):
+    assert main(["profile", "rodinia/bfs", "--scale", scale]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: scale must be a finite positive")
+    assert len(err.strip().splitlines()) == 1
 
 
-def test_serve_option_strings():
-    serve = _subcommands()["serve"]
-    options = [
-        option for action in serve._actions
-        for option in action.option_strings
-    ]
-    assert options == SERVE_OPTIONS
-
-
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--workers", "0"], "workers must be >= 1"),
-        (["--workers", "-3"], "workers must be >= 1"),
-        (["--max-queue", "-1"], "max_queue_depth must be >= 0"),
-        (["--default-deadline", "0"], "default_deadline_s must be > 0"),
-    ],
-)
-def test_serve_rejects_malformed_settings(tmp_path, capsys, flags, message):
-    args = ["serve", "--port", "0", "--spool", str(tmp_path / "spool")]
-    assert main(args + flags) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"repro: error: {message}")
-    assert len(captured.err.strip().splitlines()) == 1
-    assert "listening" not in captured.out
+def test_health_rejects_negative_chaos_seed(capsys):
+    assert main(["health", "rodinia/bfs", "--chaos", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: seed must be a non-negative integer")
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.fixture(scope="module")

@@ -73,9 +73,10 @@ def test_every_workload_declares_table4_rows():
         assert cls.meta.table4_rows, cls.meta.name
 
 
-def test_invalid_scale_rejected():
+@pytest.mark.parametrize("scale", [0, float("nan"), float("inf")])
+def test_invalid_scale_rejected(scale):
     with pytest.raises(WorkloadError):
-        get_workload("rodinia/bfs")(scale=0)
+        get_workload("rodinia/bfs")(scale=scale)
 
 
 def test_run_optimized_rejects_unknown_pattern():
