@@ -22,23 +22,20 @@ Public surface:
 - :mod:`repro.flowgraph` — value flow graphs, slices, important graphs;
 - :mod:`repro.workloads` — the paper's benchmarks and applications;
 - :mod:`repro.experiments` — regenerators for every table and figure;
-- :mod:`repro.resilience` — fault injection and graceful degradation
-  (:class:`FaultPlan`, :class:`HealthReport`; see ``docs/resilience.md``).
+- :mod:`repro.errors` — the :class:`~repro.errors.ReproError` hierarchy
+  every malformed input (trace, profile, configuration) raises.
 """
 
 from repro.analysis.advisor import suggest
 from repro.analysis.profile import ValueProfile
 from repro.analysis.report import render_report
 from repro.patterns.base import Pattern, PatternConfig
-from repro.resilience import FaultPlan, HealthReport
 from repro.tool.config import ToolConfig
 from repro.tool.valueexpert import ValueExpert
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "FaultPlan",
-    "HealthReport",
     "Pattern",
     "PatternConfig",
     "render_report",

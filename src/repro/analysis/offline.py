@@ -34,21 +34,17 @@ from repro.patterns.engine import PatternEngine
 class OfflineAnalyzer:
     """Finalizes a profile: type slicing plus source annotation."""
 
-    def __init__(self, config: Optional[PatternConfig] = None, health=None):
+    def __init__(self, config: Optional[PatternConfig] = None):
         self.engine = PatternEngine(config)
         #: (kernel name, binary identity) -> site pc -> access type.
-        #: Keyed by the *binary*, not the name alone: a salvage stub and
-        #: a real kernel can share a name while carrying different
-        #: binaries, and must not reuse each other's type mappings.
+        #: Keyed by the *binary*, not the name alone: two kernels can
+        #: share a name while carrying different binaries, and must not
+        #: reuse each other's type mappings.
         self._type_cache: Dict[Tuple[str, int], Dict[int, AccessType]] = {}
         #: (kernel name, binary identity) -> site pc -> binary pc.
         self._site_binary_pc: Dict[Tuple[str, int], Dict[int, int]] = {}
         #: Pin cached binaries so their id() keys cannot be recycled.
         self._cached_binaries: Dict[int, object] = {}
-        #: Optional :class:`repro.resilience.HealthReport` — when
-        #: present, skipped groups and attribution misses are counted
-        #: there instead of being swallowed silently.
-        self.health = health
 
     # -- access-type resolution -----------------------------------------------
 
@@ -218,12 +214,10 @@ class OfflineAnalyzer:
             span.end()
 
 
-    # -- degradation accounting -------------------------------------------
+    # -- miss accounting ---------------------------------------------------
 
     def _count_unresolved(self, group) -> None:
         """One untyped group the slicer could not resolve."""
-        if self.health is not None:
-            self.health.unresolved_groups += 1
         if telemetry.ENABLED:
             telemetry.counter(
                 "repro_offline_unresolved_groups_total",
@@ -232,9 +226,6 @@ class OfflineAnalyzer:
 
     def _count_attribution_miss(self, api_ref: str) -> None:
         """One hit whose api_ref no longer resolves to a graph vertex."""
-        if self.health is not None:
-            self.health.attribution_misses += 1
-            self.health.note(f"source attribution missed for {api_ref}")
         if telemetry.ENABLED:
             telemetry.counter(
                 "repro_offline_attribution_misses_total",

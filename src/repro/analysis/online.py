@@ -155,11 +155,6 @@ class OnlineAnalyzer:
             annotation=obs.annotation,
             device=obs.device,
         )
-        if obs.quarantined:
-            # The launch stays in the flow graph (the timeline must not
-            # lie about what executed), but its partial measurements are
-            # excluded from every pattern analysis.
-            return
         api_ref = self._api_ref(vertex)
         self._coarse_analysis(obs.writes, fractions, api_ref)
         self._duplicate_analysis(obs.writes, api_ref, None)
@@ -309,11 +304,6 @@ class OnlineAnalyzer:
         digest_moves = 0
         dirty = []
         for write in writes:
-            if write.after.size == 0 and write.obj.size > 0:
-                # Snapshot-free write (collector degraded past its
-                # mirror budget): no values to hash, and the shared
-                # empty digest must not fake a duplicate group.
-                continue
             key = f"dev:{write.obj.alloc_id}"
             # The collector's snapshot store maintains chunk digests
             # incrementally; rehash here only when a write arrives

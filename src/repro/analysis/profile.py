@@ -40,11 +40,6 @@ class ValueProfile:
     counters: CollectionCounters = field(default_factory=CollectionCounters)
     workload_name: str = ""
     platform_name: str = ""
-    #: Degradation ledger (:class:`repro.resilience.HealthReport`) of
-    #: the run; ``None`` on profiles produced before the resilience
-    #: layer, and omitted from serialization when pristine so clean-run
-    #: profiles stay byte-identical to seed behaviour.
-    health: Optional[object] = None
 
     # -- queries ------------------------------------------------------------
 
@@ -86,18 +81,7 @@ class ValueProfile:
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self) -> Dict:
-        """JSON-ready dictionary (hits, graph topology, counters).
-
-        The health report appears under ``"health"`` only when the run
-        actually degraded; a pristine (or absent) report serializes to
-        nothing, keeping clean-run profiles byte-identical.
-        """
-        data = self._base_dict()
-        if self.health is not None and not self.health.pristine:
-            data["health"] = self.health.to_dict()
-        return data
-
-    def _base_dict(self) -> Dict:
+        """JSON-ready dictionary (hits, graph topology, counters)."""
         return {
             "workload": self.workload_name,
             "platform": self.platform_name,
@@ -238,11 +222,6 @@ class ValueProfile:
                 profile.coarse_hits.append(hit)
             else:
                 profile.fine_hits.append(hit)
-
-        if "health" in data:
-            from repro.resilience.health import HealthReport
-
-            profile.health = HealthReport.from_dict(data["health"])
         return profile
 
     @classmethod

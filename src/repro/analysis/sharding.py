@@ -243,10 +243,6 @@ class ShardOnlineAnalyzer(OnlineAnalyzer):
         identity = (VertexKind.KERNEL, obs.kernel_name, obs.call_path, obs.device)
         for write in obs.writes:
             self._writer_identity[write.obj.alloc_id] = identity
-        if obs.quarantined:
-            # Mirrors the active path: a quarantined launch still moves
-            # the last writer but contributes nothing to analysis.
-            return
         self._duplicate_analysis(obs.writes, "", None)
 
     def _add_hit(self, hit, fine) -> None:
@@ -315,7 +311,6 @@ def run_shard(
     start: int,
     stop: int,
     config,
-    salvage: bool = False,
 ) -> ShardResult:
     """Replay ``[0, stop)`` of a trace, analyzing only ``[start, stop)``.
 
@@ -343,7 +338,7 @@ def run_shard(
     watermark = CollectionCounters()
     active_began = began
     applied = 0
-    replayer = TraceReplayer(trace_path, salvage=salvage)
+    replayer = TraceReplayer(trace_path)
     collector.attach(replayer)
     try:
         for event_index, (kind, meta, arrays) in enumerate(replayer.events()):
@@ -354,7 +349,7 @@ def run_shard(
                 collector.analysis_active = True
                 watermark = CollectionCounters(**vars(collector.counters))
                 active_began = time.perf_counter()
-            replayer.apply_event(kind, meta, arrays)
+            replayer.apply_event(event_index, kind, meta, arrays)
             applied += 1
     finally:
         collector.detach()
@@ -400,11 +395,10 @@ def run_shards_parallel(
     trace_path: str,
     ranges: Sequence[Tuple[int, int]],
     config,
-    salvage: bool = False,
 ) -> List[ShardResult]:
     """Run one worker process per shard range; returns results in order."""
     payloads = [
-        (trace_path, index, start, stop, config, salvage)
+        (trace_path, index, start, stop, config)
         for index, (start, stop) in enumerate(ranges)
     ]
     if len(payloads) == 1:

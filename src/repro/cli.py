@@ -9,12 +9,10 @@ command per paper table or figure.
 
 Inspecting the profiler and comparing runs: ``stats`` (self-telemetry
 registry and per-stage overhead), ``trace`` (Chrome-trace timeline,
-``--self`` adds the profiler's own spans), ``health`` (a resilient,
-optionally chaos-injected run; exits 0 however degraded, and
-``--shrink`` minimizes the chaos plan), ``lint`` (static value-pattern
-linter; exits 1 on error findings) and ``trace-diff`` (diff two recordings
-against a committed baseline; exits 1 on un-baselined ``--fail-on``
-deltas).  See ``docs/`` for each.
+``--self`` adds the profiler's own spans), ``lint`` (static
+value-pattern linter; exits 1 on error findings) and ``trace-diff``
+(diff two recordings against a committed baseline; exits 1 on
+un-baselined ``--fail-on`` deltas).  See ``docs/`` for each.
 
 Any :class:`~repro.errors.ReproError` (a bad trace or profile file, an
 out-of-memory workload, an invalid configuration) exits nonzero with a
@@ -27,18 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from typing import List, Optional
 
 import repro.obs as telemetry
 from repro.analysis.report import render_report
 from repro.collector.sampling import SamplingConfig
-from repro.errors import (
-    DegradedProfileWarning,
-    InvalidValueError,
-    ReproError,
-    TraceError,
-)
+from repro.errors import InvalidValueError, ReproError, TraceError
 from repro.experiments import (
     casestudies,
     figure2,
@@ -58,7 +50,6 @@ from repro.obs.selfreport import (
     price_self_overhead,
     stage_rows,
 )
-from repro.resilience import FaultPlan
 from repro.staticlint import Severity, lint_workload
 from repro.tool.config import ToolConfig
 from repro.tool.valueexpert import ValueExpert
@@ -343,112 +334,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _run_health(args, plan):
-    """One resilient profile under ``plan``; returns the profile."""
-    workload = get_workload(args.workload)(scale=args.scale)
-    tool = ValueExpert(
-        ToolConfig(
-            resilient=True,
-            fault_plan=plan,
-            memory_budget_bytes=args.budget,
-        )
-    )
-    # The report carries the degradation; the warning would only repeat
-    # it on stderr.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegradedProfileWarning)
-        profile = tool.profile(
-            workload.run_baseline,
-            platform=PLATFORMS[args.platform],
-            name=workload.name,
-        )
-    return profile
-
-
-#: Shrinker failure predicates, strongest first: the shrunk plan must
-#: reproduce the *original* run's most specific symptom, not merely
-#: "something degraded".
-_SHRINK_SYMPTOMS = (
-    ("workload_aborted", lambda h: h.workload_aborted),
-    ("corrupted_copies", lambda h: h.corrupted_copies > 0),
-    ("alloc_failures", lambda h: h.alloc_failures > 0),
-    ("torn_trace", lambda h: h.torn_trace or h.trace_salvaged),
-    ("dropped_records", lambda h: h.dropped_records > 0),
-    ("quarantined_launches", lambda h: h.quarantined_launches > 0),
-    ("degraded", lambda h: not h.pristine),
-)
-
-
-def _shrink_plan(args, plan, health):
-    """Greedily minimize a failing chaos plan.
-
-    Picks the original run's most specific symptom, then tries zeroing
-    each active fault field in turn, keeping the zero whenever the
-    symptom still reproduces.  Deterministic workload + seeded plan
-    makes every trial run exact, so one pass suffices.  Returns
-    ``(minimal_plan, symptom)`` or ``(None, None)`` when the original
-    run showed nothing to shrink.
-    """
-    import dataclasses
-
-    symptom = None
-    reproduces = None
-    for name, predicate in _SHRINK_SYMPTOMS:
-        if predicate(health):
-            symptom, reproduces = name, predicate
-            break
-    if symptom is None:
-        return None, None
-    defaults = FaultPlan()
-    current = plan
-    for name in plan.active_fields():
-        candidate = dataclasses.replace(
-            current, **{name: getattr(defaults, name)}
-        )
-        if reproduces(_run_health(args, candidate).health):
-            current = candidate
-            print(f"shrink: dropped {name} ({symptom} persists)")
-        else:
-            print(f"shrink: kept {name} (needed for {symptom})")
-    return current, symptom
-
-
-def _cmd_health(args) -> int:
-    plan = FaultPlan.chaos(args.seed) if args.chaos else None
-    if args.shrink and plan is None:
-        print("repro: error: --shrink requires --chaos", file=sys.stderr)
-        return 2
-    profile = _run_health(args, plan)
-    health = profile.health
-    print(f"health of {profile.workload_name} "
-          f"[{profile.platform_name}]"
-          + (f" under chaos seed {args.seed}" if args.chaos else ""))
-    print(health.summary())
-    shrunk = None
-    if args.shrink:
-        print()
-        shrunk, symptom = _shrink_plan(args, plan, health)
-        if shrunk is None:
-            print("shrink: run was pristine; nothing to reproduce")
-        else:
-            print(f"minimal plan reproducing {symptom} "
-                  f"({len(shrunk.active_fields())} of "
-                  f"{len(plan.active_fields())} fault fields):")
-            print(json.dumps(shrunk.to_dict(), indent=2))
-    if args.json:
-        payload = {
-            "workload": profile.workload_name,
-            "platform": profile.platform_name,
-            "plan": None if plan is None else plan.to_dict(),
-            "health": health.to_dict(),
-        }
-        if shrunk is not None:
-            payload["shrunk_plan"] = shrunk.to_dict()
-        _write_json(args.json, payload)
-        print(f"wrote health report to {args.json}")
-    return 0
-
-
 def _cmd_lint(args) -> int:
     names = workload_names() if args.all else [args.workload]
     rules = args.rules.split(",") if args.rules else None
@@ -683,7 +568,10 @@ def _add_profiling_commands(sub) -> None:
         "figure2", "figure3", "figure6", "casestudies",
     ):
         cmd = sub.add_parser(name, help=f"regenerate {name}")
-        cmd.add_argument("--scale", type=float, default=0.5)
+        if name != "figure3":
+            # Figure 3 is the paper's fixed seven-line program: its
+            # run() takes no scale.
+            cmd.add_argument("--scale", type=float, default=0.5)
         if name == "figure2":
             cmd.add_argument("--dot", default=None)
         cmd.set_defaults(func=_cmd_experiment)
@@ -711,32 +599,6 @@ def _add_inspection_commands(sub) -> None:
     )
     trace.add_argument("--out", help="write the trace JSON to a file")
     trace.set_defaults(func=_cmd_trace)
-
-    health = sub.add_parser(
-        "health",
-        help="run a resilient (optionally fault-injected) profile and "
-        "report its degradation",
-    )
-    _add_target(health)
-    health.add_argument(
-        "--chaos", action="store_true",
-        help="inject a seeded chaos FaultPlan into the run",
-    )
-    health.add_argument(
-        "--seed", type=int, default=0,
-        help="chaos plan seed (with --chaos)",
-    )
-    health.add_argument(
-        "--budget", type=int, default=None,
-        help="collector mirror budget in bytes (degradation ladder)",
-    )
-    health.add_argument(
-        "--shrink", action="store_true",
-        help="greedily minimize the chaos plan to the fewest fault "
-        "fields that still reproduce the run's symptom (with --chaos)",
-    )
-    health.add_argument("--json", help="write the health report as JSON")
-    health.set_defaults(func=_cmd_health)
 
     lint = sub.add_parser(
         "lint",

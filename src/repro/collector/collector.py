@@ -146,10 +146,6 @@ class LaunchObservation:
     fine_views: List[FineView] = field(default_factory=list)
     untyped_groups: List[UntypedGroup] = field(default_factory=list)
     fine_enabled: bool = False
-    #: The kernel raised mid-launch; the launch stays in the flow graph
-    #: but its (partial) measurements are excluded from pattern mining.
-    quarantined: bool = False
-    fault: str = ""
     #: Device the kernel ran on.
     device: int = 0
 
@@ -208,8 +204,6 @@ class DataCollector(RuntimeListener):
         sampling: SamplingConfig = SamplingConfig(),
         buffer_bytes: int = 16 * 1024 * 1024,
         copy_policy: AdaptiveCopyPolicy = AdaptiveCopyPolicy(),
-        health=None,
-        memory_budget_bytes: Optional[int] = None,
     ):
         self.analyzer = analyzer
         self.coarse = coarse
@@ -220,12 +214,6 @@ class DataCollector(RuntimeListener):
         self.buffer = ProfilingBuffer(buffer_bytes)
         self.copy_policy = copy_policy
         self.counters = CollectionCounters()
-        #: Optional :class:`repro.resilience.HealthReport` — present only
-        #: on resilient runs; every degradation below is recorded there.
-        self.health = health
-        #: CPU-mirror budget; exceeding it descends the degradation
-        #: ladder (full -> sampled -> coarse-only -> quarantined).
-        self.memory_budget_bytes = memory_budget_bytes
         self._runtime: Optional[GpuRuntime] = None
         #: When False (sharded analysis warming up over another shard's
         #: prefix), the collector still runs its full pipeline — mirror
@@ -236,13 +224,6 @@ class DataCollector(RuntimeListener):
         #: per-launch decision recorded at instrument_kernel time,
         #: consumed at on_api_end (the bus is serialized).
         self._fine_this_launch = False
-        #: Current rung on the degradation ladder (0 = full fidelity).
-        self._degradation_level = 0
-        #: Block-sampling period forced by rung 1 (SamplingConfig is
-        #: frozen, so the override lives here).
-        self._forced_block_period: Optional[int] = None
-        #: Rung 3 dropped the CPU mirrors; do not re-track objects.
-        self._mirrors_evicted = False
 
     # -- attachment -------------------------------------------------------
 
@@ -264,25 +245,8 @@ class DataCollector(RuntimeListener):
 
     def instrument_kernel(self, kernel: Kernel, grid: int, block: int) -> bool:
         """Coarse mode instruments every launch; fine mode follows the sampler."""
-        if self._degradation_level:
-            return self._instrument_degraded(kernel)
         self._fine_this_launch = self.fine and self.sampler.should_instrument(
             kernel.name
-        )
-        return self.coarse or self._fine_this_launch
-
-    def _instrument_degraded(self, kernel: Kernel) -> bool:
-        """Instrumentation decision below full fidelity (see
-        :data:`~repro.resilience.health.DEGRADATION_LADDER`): rung 1
-        forces coarser block sampling (handled in :meth:`sample_blocks`),
-        rung 2 disables fine collection, rung 3 stops instrumenting."""
-        if self._degradation_level >= 3:
-            self._fine_this_launch = False
-            return False
-        self._fine_this_launch = (
-            self._degradation_level < 2
-            and self.fine
-            and self.sampler.should_instrument(kernel.name)
         )
         return self.coarse or self._fine_this_launch
 
@@ -290,7 +254,7 @@ class DataCollector(RuntimeListener):
         """Block-sampling mask for fine-instrumented launches."""
         if not self._fine_this_launch:
             return None
-        return self.sampler.block_mask(grid, self._forced_block_period)
+        return self.sampler.block_mask(grid)
 
     def on_api_begin(self, event: ApiEvent) -> None:
         """Count every intercepted API (overhead-model input)."""
@@ -313,11 +277,8 @@ class DataCollector(RuntimeListener):
 
     def _handle_malloc(self, event: MallocEvent) -> None:
         obj = self.registry.on_malloc(event.alloc, event.call_path)
-        if not self._mirrors_evicted:
-            self.snapshots.track(obj)
+        self.snapshots.track(obj)
         self._sync_snapshot_counters()
-        if self.memory_budget_bytes is not None:
-            self._enforce_budget()
         self.analyzer.on_malloc(obj)
 
     def _ensure_tracked(self, alloc) -> "DataObject":
@@ -327,12 +288,10 @@ class DataCollector(RuntimeListener):
         obj = self.registry.get(alloc.alloc_id)
         if obj is None:
             obj = self.registry.on_malloc(alloc, None)
-            if not self._mirrors_evicted:
-                self.snapshots.track(obj)
+            self.snapshots.track(obj)
             self.analyzer.on_malloc(obj)
         elif not self.snapshots.is_tracked(obj.alloc_id):
-            if not self._mirrors_evicted:
-                self.snapshots.track(obj)
+            self.snapshots.track(obj)
         return obj
 
     def _handle_free(self, event: FreeEvent) -> None:
@@ -344,24 +303,10 @@ class DataCollector(RuntimeListener):
             self.snapshots.forget(obj)
             self.analyzer.on_free(obj)
 
-    def _summary_write(self, obj: DataObject, nbytes: int) -> ObjectWrite:
-        """Snapshot-free write record (degradation rung 3: the CPU
-        mirrors were evicted, so only sizes survive)."""
-        empty = np.empty(0, dtype=obj.dtype.np_dtype)
-        return ObjectWrite(
-            obj=obj,
-            before=empty,
-            after=empty,
-            written_indices=np.empty(0, dtype=np.int64),
-            nbytes=nbytes,
-        )
-
     def _write_through_range(
         self, obj: DataObject, nbytes: int
     ) -> ObjectWrite:
         """Coarse bookkeeping for an API writing ``[0, nbytes)`` of obj."""
-        if self._mirrors_evicted:
-            return self._summary_write(obj, nbytes)
         before, after = self.snapshots.refresh_full(obj)
         count = min(nbytes // obj.dtype.itemsize, obj.handle.nelems)
         return ObjectWrite(
@@ -438,8 +383,6 @@ class DataCollector(RuntimeListener):
 
     def _handle_launch(self, event: KernelLaunchEvent) -> None:
         self.counters.total_launches += 1
-        if event.faulted or event.dropped_records:
-            self._note_launch_faults(event)
         obs = LaunchObservation(
             seq=event.seq,
             kernel_name=event.kernel.name,
@@ -451,20 +394,7 @@ class DataCollector(RuntimeListener):
             fine_enabled=self._fine_this_launch,
             device=event.device,
         )
-        if event.faulted:
-            # Quarantine: keep the launch on the timeline with its
-            # touched-object summary (the flow graph needs the vertex),
-            # but never feed its partial records to pattern analysis.
-            obs.quarantined = True
-            obs.fault = event.fault
-            obs.fine_enabled = False
-            for alloc, nread, nwritten in event.touched:
-                obj = self._ensure_tracked(alloc)
-                if nread:
-                    obs.reads.append(ObjectRead(obj=obj, nbytes=nread))
-                if nwritten:
-                    obs.writes.append(self._write_through_range(obj, nwritten))
-        elif event.instrumented:
+        if event.instrumented:
             self.counters.instrumented_launches += 1
             if self._fine_this_launch:
                 self.counters.fine_launches += 1
@@ -491,123 +421,7 @@ class DataCollector(RuntimeListener):
                 if nwritten:
                     obs.writes.append(self._write_through_range(obj, nwritten))
         self._sync_snapshot_counters()
-        if self.memory_budget_bytes is not None:
-            self._enforce_budget()
         self.analyzer.on_launch(obs)
-
-    # -- graceful degradation ----------------------------------------------
-
-    def _note_launch_faults(self, event: KernelLaunchEvent) -> None:
-        """Fold a launch's fault markers into the health report."""
-        health = self.health
-        if health is None:
-            return
-        if event.dropped_records:
-            health.dropped_records += event.dropped_records
-            health.note(
-                f"{event.dropped_records} accesses dropped in "
-                f"{event.kernel.name!r}"
-            )
-            if telemetry.ENABLED:
-                telemetry.counter(
-                    "repro_resilience_dropped_records_total",
-                    "Per-thread accesses lost by the measurement substrate.",
-                ).inc(event.dropped_records)
-        if event.faulted:
-            health.quarantine_launch(event.kernel.name, event.fault)
-            if telemetry.ENABLED:
-                telemetry.counter(
-                    "repro_resilience_quarantined_launches_total",
-                    "Kernel launches quarantined after raising mid-flight.",
-                ).inc()
-
-    def _sanitize_records(self, records: List[AccessRecord]) -> List[AccessRecord]:
-        """Trim torn records to their consistent prefix.
-
-        A cut-short buffer flush leaves the parallel vectors of a record
-        inconsistent (addresses/values shorter than thread/block ids, or
-        vice versa).  Instead of crashing downstream, keep the prefix on
-        which all vectors agree and count the repair."""
-        repaired: List[AccessRecord] = []
-        changed = False
-        for record in records:
-            n = min(
-                record.count, len(record.thread_ids), len(record.block_ids)
-            )
-            if (
-                n == record.count
-                and len(record.thread_ids) == n
-                and len(record.block_ids) == n
-            ):
-                repaired.append(record)
-                continue
-            changed = True
-            repaired.append(
-                AccessRecord(
-                    pc=record.pc,
-                    kind=record.kind,
-                    addresses=record.addresses[:n],
-                    values=record.values[:n],
-                    dtype=record.dtype,
-                    kernel_name=record.kernel_name,
-                    thread_ids=np.asarray(record.thread_ids)[:n],
-                    block_ids=np.asarray(record.block_ids)[:n],
-                )
-            )
-            if self.health is not None:
-                self.health.repaired_records += 1
-                self.health.note(
-                    f"trimmed torn record (pc={record.pc}) in "
-                    f"{record.kernel_name!r} to {n} accesses"
-                )
-            if telemetry.ENABLED:
-                telemetry.counter(
-                    "repro_resilience_repaired_records_total",
-                    "Torn access records trimmed to a consistent prefix.",
-                ).inc()
-        return repaired if changed else records
-
-    def _enforce_budget(self) -> None:
-        """Descend one degradation-ladder rung if over the mirror budget."""
-        if self._degradation_level >= 3:
-            return
-        mirror = self.snapshots.mirror_bytes
-        if mirror <= self.memory_budget_bytes:
-            return
-        self._degradation_level += 1
-        level = self._degradation_level
-        if level == 1:
-            # Rung 1: force coarse block sampling on future launches.
-            self._forced_block_period = max(
-                8, self.sampler.config.block_sampling_period * 8
-            )
-            action = "forced block sampling"
-        elif level == 2:
-            action = "disabled fine collection"
-        else:
-            evicted = 0
-            for alloc_id in self.snapshots.tracked_ids():
-                evicted += self.snapshots.evict(alloc_id)
-            self._mirrors_evicted = True
-            action = f"stopped instrumenting, evicted {evicted}B of mirrors"
-        if self.health is not None:
-            self.health.budget_fallbacks += 1
-            self.health.degradation_level = max(
-                self.health.degradation_level, level
-            )
-            self.health.note(
-                f"memory budget: mirror {mirror}B over "
-                f"{self.memory_budget_bytes}B -> {action}"
-            )
-        if telemetry.ENABLED:
-            telemetry.counter(
-                "repro_resilience_budget_fallbacks_total",
-                "Degradation-ladder escalations under memory pressure.",
-            ).inc()
-            telemetry.gauge(
-                "repro_resilience_degradation_level",
-                "Current rung on the collector's degradation ladder.",
-            ).set(level)
 
     # -- the Section 6.1 pipeline --------------------------------------------------
 
@@ -615,9 +429,6 @@ class DataCollector(RuntimeListener):
         self, event: KernelLaunchEvent, obs: LaunchObservation
     ) -> None:
         records = event.records
-        if self.health is not None:
-            records = self._sanitize_records(records)
-            event.records = records
         access_count = sum(r.count for r in records)
         self.counters.recorded_accesses += access_count
         flushes_before = self.buffer.flushes

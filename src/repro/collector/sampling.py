@@ -66,17 +66,9 @@ class KernelSampler:
         self.instrumented_launches += 1
         return True
 
-    def block_mask(
-        self, grid: int, period: Optional[int] = None
-    ) -> Optional[np.ndarray]:
-        """Boolean mask of blocks to record, or None for all blocks.
-
-        ``period`` overrides the configured block sampling period; the
-        collector uses it to force coarser sampling under memory
-        pressure (the config itself is frozen).
-        """
-        if period is None:
-            period = self.config.block_sampling_period
+    def block_mask(self, grid: int) -> Optional[np.ndarray]:
+        """Boolean mask of blocks to record, or None for all blocks."""
+        period = self.config.block_sampling_period
         if period <= 1:
             return None
         mask = np.zeros(grid, dtype=bool)

@@ -73,22 +73,6 @@ class SnapshotStore:
         """Whether a snapshot exists for the allocation id."""
         return alloc_id in self._snapshots
 
-    @property
-    def mirror_bytes(self) -> int:
-        """Current CPU-mirror footprint (the memory-budget input)."""
-        return sum(s.nbytes for s in self._snapshots.values())
-
-    def tracked_ids(self) -> List[int]:
-        """Allocation ids with a live mirror."""
-        return list(self._snapshots.keys())
-
-    def evict(self, alloc_id: int) -> int:
-        """Drop one mirror under memory pressure; returns bytes freed."""
-        snapshot = self._snapshots.pop(alloc_id, None)
-        self._chunks.pop(alloc_id, None)
-        self._digests.pop(alloc_id, None)
-        return 0 if snapshot is None else int(snapshot.nbytes)
-
     def snapshot(self, alloc_id: int) -> np.ndarray:
         """The current CPU mirror (state as of the previous GPU API)."""
         try:

@@ -2,12 +2,10 @@
 
 All errors raised by the library derive from :class:`ReproError`, so user
 code can catch everything from this package with a single ``except``.
-
-The resilience branch (:class:`FaultInjected`,
-:class:`DegradedProfileWarning`) supports the fault-injection harness in
-:mod:`repro.resilience`: injected faults are ordinary exceptions as far
-as workload code is concerned, while the profiler recognizes and
-quarantines them instead of dying with the workload.
+Malformed inputs (traces, profiles, configurations) raise one of these,
+never a raw ``KeyError``/``ValueError`` from the decoding underneath.
+Exceptions raised by workload or kernel code are not wrapped: they
+propagate out of ``ValueExpert.profile`` unchanged.
 """
 
 from __future__ import annotations
@@ -58,38 +56,15 @@ class WorkloadError(ReproError):
 class TraceError(ReproError):
     """Raised by the trace layer (bad magic, version skew, truncation).
 
-    When raised because a ``.vetrace`` file ends mid-frame,
-    ``last_good_offset`` carries the byte offset of the end of the last
-    *complete* frame, so a salvaging reader can replay the recording up
-    to that point instead of refusing it entirely (see
-    ``docs/resilience.md``).  It is ``None`` for non-truncation errors.
+    When raised because a ``.vetrace`` file was never closed or ends
+    mid-frame, ``last_good_offset`` carries the byte offset of the end of
+    the last *complete* frame, i.e. where the recording was cut.  It is
+    ``None`` for non-truncation errors.
     """
 
     def __init__(self, message: str, last_good_offset: Optional[int] = None):
         super().__init__(message)
         self.last_good_offset = last_good_offset
-
-
-class FaultInjected(ReproError):
-    """Raised by the fault-injection harness (:mod:`repro.resilience`).
-
-    Marks a failure that was deliberately injected by a
-    :class:`~repro.resilience.FaultPlan` — e.g. a kernel made to raise
-    mid-launch.  Workloads experience it like any runtime error; the
-    hardened profiler quarantines it and records the degradation in the
-    run's :class:`~repro.resilience.HealthReport`.
-    """
-
-
-class DegradedProfileWarning(UserWarning):
-    """Warned (never raised) when a profile completed degraded.
-
-    Emitted by ``ValueExpert.profile`` / ``profile_from_trace`` when any
-    graceful-degradation path fired — dropped records, quarantined
-    launches, salvaged trace bytes, memory-budget fallbacks.  The
-    degradation is loud in the report and this warning, and invisible in
-    the exit code: the profile is still returned.
-    """
 
 
 __all__ = [
@@ -104,6 +79,4 @@ __all__ = [
     "AnalysisError",
     "WorkloadError",
     "TraceError",
-    "FaultInjected",
-    "DegradedProfileWarning",
 ]

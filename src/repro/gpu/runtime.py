@@ -166,13 +166,6 @@ class KernelLaunchEvent(ApiEvent):
     #: (start, end, DType) of per-launch shared-memory objects; the
     #: paper treats the whole shared memory as one data object.
     shared_ranges: List[Tuple[int, int, DType]] = field(default_factory=list)
-    #: The kernel raised mid-launch and was quarantined by a resilient
-    #: runtime; ``fault`` carries the rendered exception.
-    faulted: bool = False
-    fault: str = ""
-    #: Per-thread accesses reported lost by the measurement substrate
-    #: (the hardware drop counter a real buffer overflow would bump).
-    dropped_records: int = 0
 
     @property
     def api_name(self) -> str:
@@ -260,13 +253,6 @@ class GpuRuntime:
         #: attach order — cached so the hot ``_commit_time`` path never
         #: re-walks the listener list (the flag is sampled at attach).
         self._serializing: List[RuntimeListener] = []
-        #: Optional :class:`repro.resilience.FaultInjector` consulted at
-        #: each interception point (None outside chaos runs).
-        self.fault_injector = None
-        #: When True, kernels that raise are quarantined (event.faulted)
-        #: instead of propagating; the default keeps raise-through
-        #: semantics so workloads see their own bugs.
-        self.resilient = False
         self.times = TimeBreakdown()
         self._seq = 0
         self.api_events: int = 0
@@ -362,18 +348,6 @@ class GpuRuntime:
         key = self._clock_key(stream, device)
         self._stream_clock[key] = self._stream_clock.get(key, 0.0) + seconds
 
-    def _kernel_seconds(self, seconds: float) -> float:
-        """Modelled kernel time, perturbed by any latency fault plan."""
-        if self.fault_injector is not None:
-            return self.fault_injector.perturb_kernel_time(seconds)
-        return seconds
-
-    def _memcpy_seconds(self, seconds: float) -> float:
-        """Modelled copy/memset time, perturbed by any latency faults."""
-        if self.fault_injector is not None:
-            return self.fault_injector.perturb_memcpy_time(seconds)
-        return seconds
-
     @property
     def makespan(self) -> float:
         """Modelled wall-clock: the longest (device, stream) timeline.
@@ -447,10 +421,6 @@ class GpuRuntime:
         self, nelems: int, dtype: DType = DType.FLOAT32, label: str = ""
     ) -> Allocation:
         """Allocate ``nelems`` elements of ``dtype`` on the device."""
-        if self.fault_injector is not None:
-            # Before _begin, so the listener bus stays balanced when the
-            # injected OutOfMemoryError propagates to the workload.
-            self.fault_injector.on_malloc(nelems * dtype.itemsize, label)
         event = MallocEvent(
             seq=self._next_seq(),
             call_path=capture_call_path(),
@@ -496,9 +466,7 @@ class GpuRuntime:
             np.arange(count),
             src.data.ravel()[:count].astype(dst.dtype.np_dtype),
         )
-        if self.fault_injector is not None:
-            self.fault_injector.maybe_corrupt(alloc=dst)
-        event.time_s = self._memcpy_seconds(self.platform.memcpy_time(nbytes, over_pcie=True))
+        event.time_s = self.platform.memcpy_time(nbytes, over_pcie=True)
         self.times.add_memory(event.time_s)
         self._commit_time(event.stream, event.time_s)
         self._end(event)
@@ -520,9 +488,7 @@ class GpuRuntime:
         count = nbytes // src.dtype.itemsize
         flat = dst.data.reshape(-1)
         flat[:count] = src.read(np.arange(count)).astype(dst.data.dtype)
-        if self.fault_injector is not None:
-            self.fault_injector.maybe_corrupt(host=dst)
-        event.time_s = self._memcpy_seconds(self.platform.memcpy_time(nbytes, over_pcie=True))
+        event.time_s = self.platform.memcpy_time(nbytes, over_pcie=True)
         self.times.add_memory(event.time_s)
         self._commit_time(event.stream, event.time_s)
         self._end(event)
@@ -542,9 +508,7 @@ class GpuRuntime:
         )
         self._begin(event)
         self._apply_device_copy(dst, src, nbytes)
-        if self.fault_injector is not None:
-            self.fault_injector.maybe_corrupt(alloc=dst)
-        event.time_s = self._memcpy_seconds(self.platform.memcpy_time(nbytes, over_pcie=False))
+        event.time_s = self.platform.memcpy_time(nbytes, over_pcie=False)
         self.times.add_memory(event.time_s)
         self._commit_time(event.stream, event.time_s)
         self._end(event)
@@ -570,9 +534,7 @@ class GpuRuntime:
         )
         self._begin(event)
         self._apply_device_copy(dst, src, event.nbytes)
-        if self.fault_injector is not None:
-            self.fault_injector.maybe_corrupt(alloc=dst)
-        event.time_s = self._memcpy_seconds(self.platform.memcpy_p2p_time(event.nbytes))
+        event.time_s = self.platform.memcpy_p2p_time(event.nbytes)
         self.times.add_memory(event.time_s)
         self._commit_time(event.stream, event.time_s, device=src.device)
         self._end(event)
@@ -606,7 +568,7 @@ class GpuRuntime:
             count * alloc.dtype.itemsize, byte_value, dtype=np.uint8
         ).view(alloc.dtype.np_dtype)
         alloc.write(np.arange(count), pattern)
-        event.time_s = self._memcpy_seconds(self.platform.memset_time(nbytes))
+        event.time_s = self.platform.memset_time(nbytes)
         self.times.add_memory(event.time_s)
         self._commit_time(event.stream, event.time_s)
         self._end(event)
@@ -676,17 +638,7 @@ class GpuRuntime:
             else None
         )
         try:
-            if self.fault_injector is not None:
-                self.fault_injector.on_kernel_enter(kernel_obj.name)
             kernel_obj(ctx, *args)
-        except Exception as exc:
-            if not self.resilient:
-                raise
-            # Quarantine: the launch stays on the timeline (flow graph,
-            # touched summary) but is marked so analyzers exclude its
-            # partial measurements from pattern mining.
-            event.faulted = True
-            event.fault = f"{type(exc).__name__}: {exc}"
         finally:
             if kernel_span is not None:
                 kernel_span.end()
@@ -701,9 +653,7 @@ class GpuRuntime:
             (alloc, nread, nwritten)
             for alloc, nread, nwritten in ctx.touched.values()
         ]
-        if self.fault_injector is not None and event.records:
-            self.fault_injector.mangle_records(event)
-        event.time_s = self._kernel_seconds(self.platform.kernel_time(ctx.stats))
+        event.time_s = self.platform.kernel_time(ctx.stats)
         self.times.add_kernel(kernel_obj.name, event.time_s)
         self._commit_time(event.stream, event.time_s)
         self._end(event)

@@ -13,7 +13,6 @@ from typing import Optional
 from repro.collector.sampling import SamplingConfig
 from repro.intervals.copyplan import AdaptiveCopyPolicy
 from repro.patterns.base import PatternConfig
-from repro.resilience.faults import FaultPlan
 
 
 @dataclass(frozen=True)
@@ -33,24 +32,6 @@ class ToolConfig:
     #: run: pipeline metrics + self-spans, readable afterwards via
     #: ``repro.obs.registry()`` / ``repro.obs.tracer()``.
     observability: bool = False
-    #: Seeded fault plan for chaos runs (:mod:`repro.resilience`).
-    #: Setting a plan implies :attr:`resilient`.
-    fault_plan: Optional[FaultPlan] = None
-    #: Graceful-degradation mode: the profiler survives workload/kernel
-    #: failures and truncated recordings, records every degradation in
-    #: the profile's :class:`~repro.resilience.HealthReport`, and never
-    #: lets a fault escape ``profile()``.  Off by default so workloads
-    #: keep seeing their own errors (seed behaviour).
-    resilient: bool = False
-    #: CPU snapshot-mirror budget in bytes; when exceeded (resilient
-    #: runs only), the collector descends the degradation ladder
-    #: (full -> sampled -> coarse-only -> quarantined).
-    memory_budget_bytes: Optional[int] = None
-
-    @property
-    def resilience_active(self) -> bool:
-        """Whether the graceful-degradation machinery is engaged."""
-        return self.resilient or self.fault_plan is not None
 
     @classmethod
     def coarse_only(cls, observability: bool = False) -> "ToolConfig":

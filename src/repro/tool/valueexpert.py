@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import time
-import warnings
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import repro.obs as telemetry
@@ -41,16 +40,10 @@ from repro.analysis.sharding import (
     run_shards_parallel,
 )
 from repro.collector.collector import DataCollector
-from repro.errors import (
-    AnalysisError,
-    DegradedProfileWarning,
-    InvalidValueError,
-    WorkloadError,
-)
+from repro.errors import AnalysisError, InvalidValueError, WorkloadError
 from repro.gpu.kernel import Kernel
 from repro.gpu.runtime import GpuRuntime, KernelLaunchEvent, RuntimeListener
 from repro.gpu.timing import Platform, RTX_2080_TI
-from repro.resilience import FaultInjector, FaultKind, HealthReport
 from repro.tool.config import ToolConfig
 from repro.trace_io import TraceRecorder, TraceReplayer
 from repro.trace_io.codec import decode_kernel
@@ -140,10 +133,7 @@ class ValueExpert:
         processes, merging the per-shard flow graphs and hits into one
         profile whose pattern hits and graph are identical to the
         serial replay's (counters are per-shard sums and may differ
-        from a serial run's).  Sharding is refused
-        (:class:`~repro.errors.AnalysisError`) for configurations whose
-        analysis is inherently sequential-stateful: a memory budget
-        (the degradation ladder) or a replay-scoped fault plan.
+        from a serial run's).
 
         ``events=(start, stop)`` restricts *analysis* to that event
         range: earlier events only reconstruct device state, later ones
@@ -173,31 +163,10 @@ class ValueExpert:
         name: str,
         events: Optional[Tuple[int, Optional[int]]] = None,
     ) -> ValueProfile:
-        health = HealthReport() if self.config.resilience_active else None
-        injector: Optional[FaultInjector] = None
-        if (
-            self.config.fault_plan is not None
-            and self.config.fault_plan.applies_to_replay
-        ):
-            injector = FaultInjector(self.config.fault_plan)
         online = OnlineAnalyzer(self.config.patterns)
-        collector = DataCollector(
-            online,
-            coarse=self.config.coarse,
-            fine=self.config.fine,
-            sampling=self.config.sampling,
-            buffer_bytes=self.config.buffer_bytes,
-            copy_policy=self.config.copy_policy,
-            health=health,
-            memory_budget_bytes=self.config.memory_budget_bytes,
-        )
+        collector = self._collector(online)
         roster = _KernelRoster()
-        with TraceReplayer(
-            trace_path,
-            salvage=health is not None,
-            health=health,
-            fault_injector=injector,
-        ) as replayer:
+        with TraceReplayer(trace_path) as replayer:
             workload_name = name or replayer.header.get("workload", "")
             platform_name = replayer.header.get("platform", "")
             collector.attach(replayer)
@@ -210,12 +179,6 @@ class ValueExpert:
             start, stop = events if events is not None else (0, None)
             try:
                 replayer.replay(start=start, stop=stop)
-            except Exception as exc:
-                if health is None:
-                    raise
-                health.workload_aborted = True
-                health.abort_reason = f"{type(exc).__name__}: {exc}"
-                health.note(f"replay aborted: {health.abort_reason}")
             finally:
                 if replay_span is not None:
                     replay_span.end()
@@ -226,55 +189,23 @@ class ValueExpert:
             workload=workload_name,
             platform=platform_name,
         )
-        offline = OfflineAnalyzer(self.config.patterns, health=health)
+        offline = OfflineAnalyzer(self.config.patterns)
         for hit in offline.analyze_untyped(online.pending_untyped):
             profile.fine_hits.append(hit)
         offline.annotate(profile, kernels=list(roster.kernels.values()))
-        self._finish_health(profile, health, injector=injector)
         self.last_collector = collector
         self.last_runtime = None
         return profile
 
-    def _check_shardable(self) -> None:
-        """Refuse configurations whose analysis cannot shard exactly."""
-        if self.config.memory_budget_bytes is not None:
-            raise AnalysisError(
-                "sharded replay cannot honor memory_budget_bytes: the "
-                "degradation ladder's decisions depend on the whole run's "
-                "history; replay serially instead"
-            )
-        if (
-            self.config.fault_plan is not None
-            and self.config.fault_plan.applies_to_replay
-        ):
-            raise AnalysisError(
-                "sharded replay cannot apply a replay-scoped fault plan: "
-                "injected record mangling is not reproducible across "
-                "worker prefixes; replay serially instead"
-            )
-
     def _profile_from_trace_sharded(
         self, trace_path: str, name: str, shards: int
     ) -> ValueProfile:
-        self._check_shardable()
-        health = HealthReport() if self.config.resilience_active else None
-        salvage = health is not None
-        with TraceReader(trace_path, salvage=salvage) as reader:
+        with TraceReader(trace_path) as reader:
             header = reader.header
             footer = reader.footer
             # Weigh frames by decoded size: v2 zlib/delta encoding makes
             # on-disk bytes a poor proxy for replay cost.
             weighted_index = reader.frame_index(decoded=True)
-            if salvage and reader.truncated:
-                health.torn_trace = True
-                health.trace_salvaged = True
-                health.salvaged_bytes = reader.salvaged_bytes
-                health.salvaged_events = reader.salvaged_events
-                health.note(
-                    f"salvaged {reader.salvaged_events} events "
-                    f"({reader.salvaged_bytes} bytes) from truncated "
-                    f"trace {trace_path!r}"
-                )
         ranges = plan_shards(
             [nbytes for _, _, nbytes in weighted_index],
             shards,
@@ -292,25 +223,17 @@ class ValueExpert:
             else None
         )
         try:
-            results = run_shards_parallel(
-                trace_path, ranges, self.config, salvage=salvage
-            )
-        except Exception as exc:
+            results = run_shards_parallel(trace_path, ranges, self.config)
+        except Exception:
             if span is not None:
                 span.end()
-            if health is None:
-                raise
-            health.note(
-                f"sharded replay failed ({type(exc).__name__}: {exc}); "
-                f"falling back to serial replay"
-            )
-            return self._profile_from_trace(trace_path, name)
+            raise
         merge_started = time.perf_counter()
         profile = merge_shard_results(results)
         merge_elapsed = time.perf_counter() - merge_started
         profile.workload_name = name or header.get("workload", "")
         profile.platform_name = header.get("platform", "")
-        offline = OfflineAnalyzer(self.config.patterns, health=health)
+        offline = OfflineAnalyzer(self.config.patterns)
         # Workers resolved their own untyped groups; the parent only
         # annotates, using the footer's kernel table for line maps (a
         # superset of any run's launched roster).
@@ -334,7 +257,6 @@ class ValueExpert:
                 "repro_tool_shard_critical_path_seconds",
                 "Slowest worker of the most recent sharded replay.",
             ).set(max(result.elapsed_s for result in results))
-        self._finish_health(profile, health, injector=None)
         self.last_shard_results = results
         self.last_collector = None
         self.last_runtime = None
@@ -349,28 +271,8 @@ class ValueExpert:
         record_path: Optional[str] = None,
     ) -> ValueProfile:
         runtime = runtime or GpuRuntime(platform=platform)
-        health: Optional[HealthReport] = None
-        injector: Optional[FaultInjector] = None
-        if self.config.resilience_active:
-            health = HealthReport()
-            runtime.resilient = True
-            if (
-                self.config.fault_plan is not None
-                and self.config.fault_plan.applies_to_record
-            ):
-                injector = FaultInjector(self.config.fault_plan)
-                runtime.fault_injector = injector
         online = OnlineAnalyzer(self.config.patterns)
-        collector = DataCollector(
-            online,
-            coarse=self.config.coarse,
-            fine=self.config.fine,
-            sampling=self.config.sampling,
-            buffer_bytes=self.config.buffer_bytes,
-            copy_policy=self.config.copy_policy,
-            health=health,
-            memory_budget_bytes=self.config.memory_budget_bytes,
-        )
+        collector = self._collector(online)
         workload_name = (
             name or getattr(workload, "name", "") or _callable_name(workload)
         )
@@ -386,7 +288,6 @@ class ValueExpert:
                     "platform": runtime.platform.name,
                 },
                 instrument="follow",
-                fault_injector=injector,
             )
         collector.attach(runtime)
         runtime.subscribe(roster)
@@ -399,15 +300,6 @@ class ValueExpert:
         )
         try:
             self._run(workload, runtime)
-        except Exception as exc:
-            if health is None:
-                raise
-            # Resilient mode: the workload died (its own bug, a genuine
-            # OOM, or an injected fault that escaped to workload code);
-            # the profile covers the prefix that executed.
-            health.workload_aborted = True
-            health.abort_reason = f"{type(exc).__name__}: {exc}"
-            health.note(f"workload aborted: {health.abort_reason}")
         finally:
             if run_span is not None:
                 run_span.end()
@@ -420,8 +312,6 @@ class ValueExpert:
                 recorder.close()
             runtime.unsubscribe(roster)
             collector.detach()
-            if injector is not None:
-                runtime.fault_injector = None
 
         profile = online.finish(
             counters=collector.counters,
@@ -433,81 +323,26 @@ class ValueExpert:
             if telemetry.ENABLED
             else None
         )
-        offline = OfflineAnalyzer(self.config.patterns, health=health)
+        offline = OfflineAnalyzer(self.config.patterns)
         for hit in offline.analyze_untyped(online.pending_untyped):
             profile.fine_hits.append(hit)
         offline.annotate(profile, kernels=list(roster.kernels.values()))
         if offline_span is not None:
             offline_span.end()
-        if health is not None and recorder is not None and recorder.torn:
-            health.torn_trace = True
-            health.note(
-                f"trace recording {record_path!r} torn mid-write "
-                f"(footer never patched)"
-            )
-        self._finish_health(profile, health, injector)
         self.last_collector = collector
         self.last_runtime = runtime
         return profile
 
-    @staticmethod
-    def _finish_health(
-        profile: ValueProfile,
-        health: Optional[HealthReport],
-        injector: Optional[FaultInjector],
-    ) -> None:
-        """Fold the injector's ground truth into the health report,
-        attach it to the profile, and make any degradation loud (a
-        :class:`DegradedProfileWarning` plus obs gauges) while keeping
-        it invisible in the exit path — nothing raises."""
-        if health is None:
-            return
-        if injector is not None:
-            health.faults_injected = injector.total_injected
-            health.alloc_failures = injector.counts[FaultKind.ALLOC_FAILURE]
-            health.corrupted_copies = injector.counts[FaultKind.CORRUPTION]
-            for line in injector.events:
-                health.note(f"injected {line}")
-        profile.health = health
-        if telemetry.ENABLED:
-            telemetry.gauge(
-                "repro_resilience_faults_injected",
-                "Faults fired by the injection harness in the last run.",
-            ).set(health.faults_injected)
-            telemetry.gauge(
-                "repro_resilience_degraded",
-                "1 when the last profile completed degraded, else 0.",
-            ).set(0 if health.pristine else 1)
-            # Per-dimension degradation gauges so chaos runs show up on
-            # a scrape endpoint, not just in the report object.
-            telemetry.gauge(
-                "repro_resilience_quarantined_launches",
-                "Kernel launches quarantined in the last run.",
-            ).set(health.quarantined_launches)
-            telemetry.gauge(
-                "repro_resilience_salvaged_frames",
-                "Events salvaged from a truncated recording in the last run.",
-            ).set(health.salvaged_events)
-            telemetry.gauge(
-                "repro_resilience_degradation_level",
-                "Degradation-ladder rung of the last run (0 = full fidelity).",
-            ).set(health.degradation_level)
-            telemetry.gauge(
-                "repro_resilience_dropped_records",
-                "Access records dropped by the substrate in the last run.",
-            ).set(health.dropped_records)
-            telemetry.gauge(
-                "repro_resilience_repaired_records",
-                "Torn access records repaired in the last run.",
-            ).set(health.repaired_records)
-        if not health.pristine:
-            warnings.warn(
-                DegradedProfileWarning(
-                    "profile completed degraded: "
-                    + health.summary().splitlines()[0]
-                ),
-                stacklevel=3,
-            )
+    def _collector(self, online: OnlineAnalyzer) -> DataCollector:
+        """A data collector configured from ``self.config``."""
+        return DataCollector(
+            online,
+            coarse=self.config.coarse,
+            fine=self.config.fine,
+            sampling=self.config.sampling,
+            buffer_bytes=self.config.buffer_bytes,
+            copy_policy=self.config.copy_policy,
+        )
 
     @staticmethod
     def _run(workload, runtime: GpuRuntime) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional
 
 from repro.analysis.profile import ValueProfile
@@ -105,8 +105,6 @@ def run_recommended_workflow(
     fine_block_period: int = 1,
     observability: bool = False,
     trace_path: Optional[str] = None,
-    resilient: bool = False,
-    fault_plan=None,
 ) -> WorkflowResult:
     """Execute the §4 workflow on a workload.
 
@@ -127,14 +125,6 @@ def run_recommended_workflow(
         Where to keep the coarse-pass ``.vetrace`` recording.  By
         default a temporary file is used for the fine replay and
         deleted afterwards.
-    resilient:
-        Run both passes in graceful-degradation mode: faults never
-        escape the workflow, and each pass's profile carries a
-        :class:`~repro.resilience.HealthReport`.
-    fault_plan:
-        A :class:`~repro.resilience.FaultPlan` for chaos runs; injected
-        into the live coarse pass only (the fine pass replays the
-        recording, faults and all).  Implies ``resilient``.
     """
     runner = getattr(workload, "run_baseline", workload)
     name = getattr(workload, "name", "")
@@ -153,8 +143,6 @@ def run_recommended_workflow(
             observability,
             trace_path,
             keep_trace,
-            resilient,
-            fault_plan,
         )
     finally:
         if not keep_trace and os.path.exists(trace_path):
@@ -171,16 +159,10 @@ def _run_workflow(
     observability: bool,
     trace_path: str,
     keep_trace: bool,
-    resilient: bool = False,
-    fault_plan=None,
 ) -> WorkflowResult:
     # Pass 1 — coarse only, every kernel; record the run so pass 2 can
     # replay it instead of executing the workload a second time.
     coarse_config = ToolConfig.coarse_only(observability=observability)
-    if resilient or fault_plan is not None:
-        coarse_config = replace(
-            coarse_config, resilient=True, fault_plan=fault_plan
-        )
     coarse_tool = ValueExpert(coarse_config)
     coarse_profile = coarse_tool.profile(
         runner, platform=platform, name=name, record_path=trace_path
@@ -228,7 +210,6 @@ def _run_workflow(
                 kernel_filter=selected,
             ),
             observability=observability,
-            resilient=resilient or fault_plan is not None,
         )
     )
     result.fine_profile = fine_tool.profile_from_trace(trace_path, name=name)

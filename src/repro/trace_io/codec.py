@@ -230,16 +230,30 @@ def released_delta_keys(kind: int, meta: dict) -> List[str]:
 
 
 def decode_access_record(record_meta: dict, arrays: ArrayDict, index: int) -> AccessRecord:
-    """Rebuild one access record from its frame slice."""
+    """Rebuild one access record from its frame slice.
+
+    The four per-thread vectors must be parallel; a torn record, whose
+    lengths disagree, raises :class:`TraceError`.
+    """
+    addresses = arrays[f"r{index}.addr"]
+    values = arrays[f"r{index}.val"]
+    thread_ids = arrays[f"r{index}.tid"]
+    block_ids = arrays[f"r{index}.blk"]
+    lengths = (len(addresses), len(values), len(thread_ids), len(block_ids))
+    if len(set(lengths)) != 1:
+        raise TraceError(
+            f"access record {index} is torn: addresses, values, thread ids "
+            f"and block ids have lengths {lengths}"
+        )
     return AccessRecord(
         pc=record_meta["pc"],
         kind=AccessKind(record_meta["kind"]),
-        addresses=arrays[f"r{index}.addr"],
-        values=arrays[f"r{index}.val"],
+        addresses=addresses,
+        values=values,
         dtype=dtype_from_name(record_meta["dtype"]),
         kernel_name=record_meta["kernel_name"],
-        thread_ids=arrays[f"r{index}.tid"],
-        block_ids=arrays[f"r{index}.blk"],
+        thread_ids=thread_ids,
+        block_ids=block_ids,
     )
 
 
@@ -292,19 +306,6 @@ def _stub_entry(*_args, **_kwargs) -> None:
         "replayed kernels carry no entry function; launches are "
         "reconstructed from recorded access records and post-state"
     )
-
-
-def stub_kernel(name: str) -> Kernel:
-    """A minimal kernel stub for salvaged traces.
-
-    A torn recording loses its kernel-table footer, so launches must be
-    replayed against a name-only stub: no line map, no binary.  Offline
-    type slicing and source attribution degrade gracefully (they skip
-    kernels without binaries); coarse analysis is unaffected.
-    """
-    kernel = Kernel(name=name, fn=_stub_entry, code_base=0, line_map={})
-    kernel._pc_table = {}
-    return kernel
 
 
 def decode_kernel(data: dict) -> Kernel:

@@ -112,7 +112,6 @@ class TraceWriter:
         self.version = version
         self._file = open(path, "wb")
         self._closed = False
-        self.torn = False
         self.events_written = 0
         self._final_size: Optional[int] = None
         #: delta key -> raw bytes of the last payload written under it
@@ -140,10 +139,6 @@ class TraceWriter:
         is stored as the XOR against that payload; readers reverse the
         XOR statefully.  v1 writers ignore ``delta_keys`` entirely.
         """
-        if self.torn:
-            # A torn writer models a dead recording process: later
-            # events vanish, exactly like writes after a crash.
-            return
         if self._closed:
             raise TraceError(f"trace {self.path!r} is already closed")
         use_v2 = self.version >= 2
@@ -198,39 +193,18 @@ class TraceWriter:
     def bytes_written(self) -> int:
         """Bytes written to the file so far.
 
-        A torn writer reports 0 (the recording is dead); a closed
-        writer reports the final file size, so telemetry sampled after
-        :meth:`close` still sees the trace it produced.
+        A closed writer reports the final file size, so telemetry
+        sampled after :meth:`close` still sees the trace it produced.
         """
-        if self.torn:
-            return 0
         if self._closed:
             return self._final_size or 0
         return self._file.tell()
-
-    def tear(self) -> None:
-        """Simulate the writing process dying mid-frame.
-
-        A partial frame header (a plausible kind, then nothing) is left
-        on disk, the footer offset is never patched, and the writer goes
-        dead: subsequent :meth:`write_event`/:meth:`close` calls are
-        no-ops.  A plain :class:`TraceReader` refuses the result; a
-        salvaging reader recovers every frame before the tear.
-        """
-        if self._closed or self.torn:
-            return
-        self._file.write(_U32.pack(EVENT_LAUNCH))
-        self._file.write(b"\x7f\x03")
-        self._file.close()
-        self.torn = True
 
     def close(self, footer: Optional[dict] = None) -> int:
         """Write the footer, patch its offset, and close the file.
 
         Returns the final file size in bytes.
         """
-        if self.torn:
-            return 0
         if self._closed:
             raise TraceError(f"trace {self.path!r} is already closed")
         footer = dict(footer or {})
@@ -258,16 +232,13 @@ class TraceWriter:
 class TraceReader:
     """Reads a ``.vetrace`` file: header/footer eagerly, events lazily.
 
-    With ``salvage=True`` a truncated recording (crashed writer: footer
-    offset still 0, possibly a partial final frame) is accepted: the
-    reader walks the frame stream to the last complete frame and
-    replays exactly that prefix.  :attr:`truncated` reports whether
-    salvage engaged; :attr:`salvaged_bytes`/:attr:`salvaged_events`
-    quantify what survived.  The kernel-table footer is lost with the
-    tail, so ``footer["kernels"]`` is empty on a salvaged trace.
+    A recording that was never closed (crashed writer: footer offset
+    still 0, possibly a partial final frame) is refused with a
+    :class:`TraceError` whose ``last_good_offset`` is the end of its
+    last complete frame.
     """
 
-    def __init__(self, path: str, salvage: bool = False):
+    def __init__(self, path: str):
         self.path = path
         try:
             self._file = open(path, "rb")
@@ -284,36 +255,17 @@ class TraceReader:
                 f"{sorted(SUPPORTED_VERSIONS)} only"
             )
         self._footer_offset = _U64.unpack(self._read_exact(_U64.size))[0]
-        self.truncated = False
-        self.salvaged_bytes = 0
-        self.salvaged_events = 0
-        if self._footer_offset == 0:
-            header_len = _U32.unpack(self._read_exact(_U32.size))[0]
-            self.header: dict = json.loads(self._read_exact(header_len))
-            self._events_start = self._file.tell()
-            last_good, nevents = self._scan_frames()
-            if not salvage:
-                raise TraceError(
-                    f"{path!r} was never closed (truncated recording)",
-                    last_good_offset=last_good,
-                )
-            self.truncated = True
-            self._footer_offset = last_good
-            self.footer: dict = {
-                "events": nevents,
-                "kernels": {},
-                "salvaged": True,
-            }
-            self.salvaged_bytes = last_good - self._events_start
-            self.salvaged_events = nevents
-            self._file.seek(self._events_start)
-            return
         header_len = _U32.unpack(self._read_exact(_U32.size))[0]
-        self.header = json.loads(self._read_exact(header_len))
+        self.header: dict = json.loads(self._read_exact(header_len))
         self._events_start = self._file.tell()
+        if self._footer_offset == 0:
+            raise TraceError(
+                f"{path!r} was never closed (truncated recording)",
+                last_good_offset=self._last_good_offset(),
+            )
         self._file.seek(self._footer_offset)
         footer_len = _U64.unpack(self._read_exact(_U64.size))[0]
-        self.footer = json.loads(self._read_exact(footer_len))
+        self.footer: dict = json.loads(self._read_exact(footer_len))
         self._file.seek(self._events_start)
 
     def _read_exact(self, nbytes: int) -> bytes:
@@ -324,18 +276,16 @@ class TraceReader:
 
     _FRAME_HEAD = _U32.size + _U32.size + _U64.size
 
-    def _scan_frames(self) -> Tuple[int, int]:
+    def _last_good_offset(self) -> int:
         """Walk frames until truncation or garbage.
 
-        Returns ``(last_good_offset, nevents)``: the byte offset just
-        past the last complete, well-formed frame, and how many such
-        frames precede it.  A frame is complete when its kind is known,
+        Returns the byte offset just past the last complete,
+        well-formed frame.  A frame is complete when its kind is known,
         its meta parses as JSON, and its payload fits in the file.
         """
         self._file.seek(0, 2)
         size = self._file.tell()
         self._file.seek(self._events_start)
-        nevents = 0
         last_good = self._events_start
         while True:
             start = self._file.tell()
@@ -358,9 +308,8 @@ class TraceReader:
             except ValueError:
                 break
             self._file.seek(end)
-            nevents += 1
             last_good = end
-        return last_good, nevents
+        return last_good
 
     def frame_index(self, decoded: bool = False) -> List[Tuple[int, int, int]]:
         """``(offset, kind, frame_nbytes)`` per complete frame.
@@ -415,11 +364,11 @@ class TraceReader:
 
         A :class:`TraceError` raised mid-stream carries
         ``last_good_offset`` — the end of the last frame that was
-        yielded whole — so callers can salvage.  That covers frames cut
-        short by truncation *and* frames whose array descriptors are
-        corrupt (unknown dtype, byte counts that do not divide into
-        elements, shape/size mismatches): descriptor damage surfaces as
-        a salvageable trace error, never a raw numpy exception.
+        yielded whole.  That covers frames cut short by truncation *and*
+        frames whose array descriptors are corrupt (unknown dtype, byte
+        counts that do not divide into elements, shape/size mismatches):
+        descriptor damage surfaces as a trace error, never a raw numpy
+        exception.
 
         Delta-encoded v2 arrays are decoded statefully; iteration
         always restarts from the first frame, so the delta chain is

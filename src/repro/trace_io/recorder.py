@@ -53,7 +53,6 @@ class TraceRecorder(RuntimeListener):
         path: str,
         header: Optional[dict] = None,
         instrument: str = "follow",
-        fault_injector=None,
         version: int = VERSION,
     ):
         if instrument not in ("follow", "all"):
@@ -61,9 +60,6 @@ class TraceRecorder(RuntimeListener):
                 f"instrument must be 'follow' or 'all', got {instrument!r}"
             )
         self.instrument = instrument
-        #: Optional :class:`repro.resilience.FaultInjector`; when its
-        #: plan says so, the recording is torn mid-frame (crash model).
-        self.fault_injector = fault_injector
         self._writer = TraceWriter(path, header=header, version=version)
         self._kernels: Dict[str, Kernel] = {}
         self._runtime: Optional[GpuRuntime] = None
@@ -103,10 +99,6 @@ class TraceRecorder(RuntimeListener):
         )
         for key in released_delta_keys(kind, meta):
             self._writer.release_delta(key)
-        if self.fault_injector is not None and self.fault_injector.take_trace_tear(
-            self._writer.events_written
-        ):
-            self._writer.tear()
         if telemetry.ENABLED:
             telemetry.counter(
                 "repro_trace_events_total",
@@ -124,11 +116,6 @@ class TraceRecorder(RuntimeListener):
     def events_written(self) -> int:
         """Events recorded so far."""
         return self._writer.events_written
-
-    @property
-    def torn(self) -> bool:
-        """Whether the recording was torn mid-write (injected crash)."""
-        return self._writer.torn
 
     def close(self) -> int:
         """Write the kernel table footer and finish the file.

@@ -24,6 +24,11 @@ filtered through the listeners' block mask (mirroring the live
 per-record accounting).  Listeners can therefore narrow a maximal
 recording — fine-pass kernel filters, sampling — but cannot widen it:
 a launch recorded without records replays without records.
+
+A frame whose meta or arrays do not decode (a missing key, a wrong
+type, an unknown kernel, a torn access record) raises
+:class:`~repro.errors.TraceError` naming the trace and the frame index;
+an exception raised by a listener passes through unchanged.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ from repro.trace_io.codec import (
     decode_call_path,
     decode_kernel,
     dtype_from_name,
-    stub_kernel,
 )
 from repro.trace_io.format import (
     EVENT_FREE,
@@ -97,35 +101,11 @@ def _make_allocation(desc: dict) -> Allocation:
 
 
 class TraceReplayer:
-    """Plays a recorded event stream to runtime listeners.
+    """Plays a recorded event stream to runtime listeners."""
 
-    With ``salvage=True`` a truncated recording is replayed up to its
-    last complete frame instead of being refused; launches whose kernel
-    metadata sank with the lost footer get name-only stub kernels.  The
-    optional ``health`` (:class:`repro.resilience.HealthReport`) records
-    what the salvage recovered.
-
-    The optional ``fault_injector``
-    (:class:`repro.resilience.FaultInjector`, wired by the facade when
-    the configured :class:`~repro.resilience.FaultPlan` has replay
-    scope) mangles the recorded record stream as launches are re-emitted
-    — dropped suffixes and torn records, exactly as the live runtime
-    injects them — so the degradation path can be chaos-tested without
-    re-running any workload.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        salvage: bool = False,
-        health=None,
-        fault_injector=None,
-    ):
-        self._reader = TraceReader(path, salvage=salvage)
+    def __init__(self, path: str):
+        self._reader = TraceReader(path)
         self.path = path
-        self.salvage = salvage
-        self.health = health
-        self.fault_injector = fault_injector
         self.header: dict = self._reader.header
         #: Kernel stubs from the trace footer (line maps + binaries,
         #: no executable body) — enough for offline type slicing.
@@ -134,21 +114,14 @@ class TraceReplayer:
             for data in self._reader.footer.get("kernels", [])
         }
         self.listeners: List[RuntimeListener] = []
-        if self._reader.truncated and health is not None:
-            health.torn_trace = True
-            health.trace_salvaged = True
-            health.salvaged_bytes = self._reader.salvaged_bytes
-            health.salvaged_events = self._reader.salvaged_events
-            health.note(
-                f"salvaged {self._reader.salvaged_events} events "
-                f"({self._reader.salvaged_bytes} bytes) from truncated "
-                f"trace {path!r}"
-            )
         #: Live replayed allocations, keyed (alloc_id, address) — both,
         #: because the shared-memory arena numbers its ids independently
         #: of the global arena, so ids alone can collide.
         self._allocs: Dict[Tuple[int, int], Allocation] = {}
         self.events_replayed = 0
+        #: Set while listener hooks run, so a listener's exception is
+        #: told apart from a decode error of the frame being replayed.
+        self._in_listener = False
 
     # -- listener management (GpuRuntime-compatible) -----------------------
 
@@ -172,9 +145,11 @@ class TraceReplayer:
         """
         return self._reader.events()
 
-    def apply_event(self, kind: int, meta: dict, arrays: dict) -> None:
-        """Apply one decoded frame: update state, emit to listeners."""
-        self._replay_one(kind, meta, arrays)
+    def apply_event(
+        self, index: int, kind: int, meta: dict, arrays: dict
+    ) -> None:
+        """Apply decoded frame ``index``: update state, emit to listeners."""
+        self._replay_one(index, kind, meta, arrays)
         self.events_replayed += 1
 
     def replay(self, start: int = 0, stop: Optional[int] = None) -> int:
@@ -209,7 +184,7 @@ class TraceReplayer:
                 if muted is not None and index == start:
                     self.listeners = muted
                     muted = None
-                self._replay_one(kind, meta, arrays)
+                self._replay_one(index, kind, meta, arrays)
                 count += 1
         finally:
             if muted is not None:
@@ -245,28 +220,63 @@ class TraceReplayer:
 
     # -- event dispatch ------------------------------------------------------
 
-    def _replay_one(self, kind: int, meta: dict, arrays: dict) -> None:
-        if kind == EVENT_MALLOC:
-            self._replay_malloc(meta)
-        elif kind == EVENT_FREE:
-            self._replay_free(meta)
-        elif kind == EVENT_MEMCPY:
-            self._replay_memcpy(meta, arrays)
-        elif kind == EVENT_MEMSET:
-            self._replay_memset(meta)
-        elif kind == EVENT_LAUNCH:
-            self._replay_launch(meta, arrays)
-        else:
-            raise TraceError(f"unknown event kind {kind} in {self.path!r}")
+    def _replay_one(
+        self, index: int, kind: int, meta: dict, arrays: dict
+    ) -> None:
+        self._in_listener = False
+        try:
+            if kind == EVENT_MALLOC:
+                self._replay_malloc(meta)
+            elif kind == EVENT_FREE:
+                self._replay_free(meta)
+            elif kind == EVENT_MEMCPY:
+                self._replay_memcpy(meta, arrays)
+            elif kind == EVENT_MEMSET:
+                self._replay_memset(meta)
+            elif kind == EVENT_LAUNCH:
+                self._replay_launch(meta, arrays)
+            else:
+                raise TraceError(f"unknown event kind {kind}")
+        except (KeyError, TypeError, ValueError, TraceError) as exc:
+            if self._in_listener:
+                raise
+            raise TraceError(
+                f"malformed frame {index} in {self.path!r}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
 
     def _begin(self, event: ApiEvent) -> None:
+        self._in_listener = True
         for listener in self.listeners:
             listener.on_api_begin(event)
+        self._in_listener = False
 
     def _end(self, event: ApiEvent, time_s: float) -> None:
         event.time_s = time_s
+        self._in_listener = True
         for listener in self.listeners:
             listener.on_api_end(event)
+        self._in_listener = False
+
+    def _instrumentation(
+        self, kernel: Kernel, grid: int, block: int
+    ) -> Tuple[bool, Optional[np.ndarray]]:
+        """Poll the listeners for a launch's instrumentation and block
+        mask, exactly as the live bus does."""
+        self._in_listener = True
+        instrument = any(
+            listener.instrument_kernel(kernel, grid, block)
+            for listener in self.listeners
+        )
+        sampled = None
+        if instrument:
+            for listener in self.listeners:
+                mask = listener.sample_blocks(kernel, grid)
+                if mask is not None:
+                    sampled = np.asarray(mask, dtype=bool)
+                    break
+        self._in_listener = False
+        return instrument, sampled
 
     def _common(self, meta: dict) -> dict:
         return {
@@ -370,41 +380,15 @@ class TraceReplayer:
     def _replay_launch(self, meta: dict, arrays: dict) -> None:
         kernel = self.kernels.get(meta["kernel"])
         if kernel is None:
-            if not self.salvage:
-                raise TraceError(
-                    f"kernel {meta['kernel']!r} missing from the trace's "
-                    f"kernel table (unclosed recording?)"
-                )
-            # The kernel table sank with the torn footer: synthesize a
-            # name-only stub so the launch still replays coarse-grained.
-            kernel = stub_kernel(meta["kernel"])
-            self.kernels[kernel.name] = kernel
-            if self.health is not None:
-                self.health.stub_kernels += 1
-                self.health.note(
-                    f"synthesized stub kernel for {kernel.name!r} "
-                    f"(kernel table lost with torn footer)"
-                )
-            if telemetry.ENABLED:
-                telemetry.counter(
-                    "repro_resilience_stub_kernels_total",
-                    "Stub kernels synthesized for salvaged traces.",
-                ).inc()
+            raise TraceError(
+                f"kernel {meta['kernel']!r} missing from the trace's "
+                f"kernel table"
+            )
         grid = meta["grid"]
         block = meta["block"]
         # The *replay* listeners decide instrumentation, exactly as on
         # the live bus; they can narrow the recording, never widen it.
-        instrument = any(
-            listener.instrument_kernel(kernel, grid, block)
-            for listener in self.listeners
-        )
-        sampled = None
-        if instrument:
-            for listener in self.listeners:
-                mask = listener.sample_blocks(kernel, grid)
-                if mask is not None:
-                    sampled = np.asarray(mask, dtype=bool)
-                    break
+        instrument, sampled = self._instrumentation(kernel, grid, block)
         event = KernelLaunchEvent(
             kernel=kernel,
             grid=grid,
@@ -425,10 +409,6 @@ class TraceReplayer:
         ]
         if instrument:
             event.records = self._filter_records(meta, arrays, sampled)
-            if self.fault_injector is not None:
-                # Replay-scoped chaos: drop/tear the recorded records as
-                # the live runtime would, before listeners observe them.
-                self.fault_injector.mangle_records(event)
         stats = meta["stats"]
         event.stats = None if stats is None else KernelStats(**stats)
         event.touched = [
@@ -447,22 +427,6 @@ class TraceReplayer:
         records = []
         for index, record_meta in enumerate(meta["records"]):
             record = decode_access_record(record_meta, arrays, index)
-            if len(record.block_ids) != record.count or len(
-                record.thread_ids
-            ) != record.count:
-                # Torn record serialized before repair: clip the id
-                # vectors so the block mask below cannot misindex.
-                n = record.count
-                record = type(record)(
-                    pc=record.pc,
-                    kind=record.kind,
-                    addresses=record.addresses,
-                    values=record.values,
-                    dtype=record.dtype,
-                    kernel_name=record.kernel_name,
-                    thread_ids=record.thread_ids[:n],
-                    block_ids=record.block_ids[:n],
-                )
             if sampled is not None:
                 mask = sampled[record.block_ids]
                 if not mask.any():

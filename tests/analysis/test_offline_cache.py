@@ -1,15 +1,18 @@
 """Regressions for the offline analyzer's per-binary caching.
 
 The type cache used to be keyed by kernel *name* alone, so two kernels
-sharing a name (a salvage stub and the real kernel, or two builds of
-the same source) would silently reuse each other's site->type
-mappings.  The cache now keys on (name, binary identity).  Annotation
-likewise used to skip silently when a pc-carrying hit's api reference
-did not name a registered kernel; it now counts an attribution miss.
+sharing a name (two builds of the same source) would silently reuse
+each other's site->type mappings.  The cache now keys on (name, binary
+identity).  Annotation likewise used to skip silently when a
+pc-carrying hit's api reference did not name a registered kernel; it
+now counts an attribution miss (the
+``repro_offline_attribution_misses_total`` telemetry counter).
 """
 
 import numpy as np
+import pytest
 
+import repro.obs as telemetry
 from repro.analysis.offline import OfflineAnalyzer
 from repro.analysis.profile import ValueProfile
 from repro.binary.isa import AccessType
@@ -17,7 +20,6 @@ from repro.binary.module import BinaryBuilder
 from repro.gpu.dtypes import DType
 from repro.gpu.kernel import kernel
 from repro.patterns.base import Pattern, PatternHit
-from repro.resilience import HealthReport
 
 
 def _twin(base_pc, float_typed):
@@ -86,36 +88,44 @@ def _pc_hit(api_ref):
     )
 
 
-def test_annotate_counts_miss_for_object_label_refs():
-    health = HealthReport()
-    offline = OfflineAnalyzer(health=health)
+@pytest.fixture
+def misses():
+    """Reads the attribution-miss counter, telemetry on for the test."""
+    telemetry.reset()
+    telemetry.enable()
+    yield lambda: telemetry.counter(
+        "repro_offline_attribution_misses_total"
+    ).value
+    telemetry.disable()
+    telemetry.reset()
+
+
+def test_annotate_counts_miss_for_object_label_refs(misses):
+    offline = OfflineAnalyzer()
     profile = ValueProfile()
     profile.fine_hits.append(_pc_hit("obj:buf"))
     offline.annotate(profile, kernels=[])
-    assert health.attribution_misses == 1
-    assert any("obj:buf" in note for note in health.events)
+    assert misses() == 1
 
 
-def test_annotate_counts_miss_for_unregistered_kernel():
-    health = HealthReport()
-    offline = OfflineAnalyzer(health=health)
+def test_annotate_counts_miss_for_unregistered_kernel(misses):
+    offline = OfflineAnalyzer()
     profile = ValueProfile()
     profile.fine_hits.append(_pc_hit("v3:never_registered"))
     offline.annotate(profile, kernels=[])
-    assert health.attribution_misses >= 1
+    assert misses() >= 1
 
 
-def test_annotate_registered_kernel_with_unmapped_pc_stays_silent():
+def test_annotate_registered_kernel_with_unmapped_pc_stays_silent(misses):
     """A known kernel whose line map lacks the pc is not a miss."""
     from repro.flowgraph.graph import VertexKind
 
     twin = _twin(0, float_typed=True)
-    health = HealthReport()
-    offline = OfflineAnalyzer(health=health)
+    offline = OfflineAnalyzer()
     profile = ValueProfile()
     vertex = profile.graph.merge_vertex(VertexKind.KERNEL, twin.name, None)
     hit = _pc_hit(f"v{vertex.vid}:{twin.name}")
     hit.metrics["pc"] = 0xDEAD_BEEF  # not an instrumentation site
     profile.fine_hits.append(hit)
     offline.annotate(profile, kernels=[twin])
-    assert health.attribution_misses == 0
+    assert misses() == 0

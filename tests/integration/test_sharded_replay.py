@@ -70,23 +70,6 @@ def test_more_shards_than_events_degrades_gracefully(tmp_path):
         assert sharded[section] == serial[section], section
 
 
-def test_sharding_refuses_memory_budget(tmp_path):
-    path = _record(tmp_path, "rodinia/bfs")
-    tool = ValueExpert(ToolConfig(memory_budget_bytes=1 << 20))
-    with pytest.raises(AnalysisError, match="memory_budget_bytes"):
-        tool.profile_from_trace(path, shards=2)
-
-
-def test_sharding_refuses_replay_fault_plans(tmp_path):
-    from repro.resilience import FaultPlan
-
-    path = _record(tmp_path, "rodinia/bfs")
-    plan = FaultPlan.chaos(3, scope="replay")
-    tool = ValueExpert(ToolConfig(resilient=True, fault_plan=plan))
-    with pytest.raises(AnalysisError, match="fault plan"):
-        tool.profile_from_trace(path, shards=2)
-
-
 def test_events_range_and_shards_are_mutually_exclusive(tmp_path):
     path = _record(tmp_path, "rodinia/bfs")
     with pytest.raises(AnalysisError, match="mutually exclusive"):

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+import repro.cli as tool_cli
 from repro.cli import build_parser, main
+from repro.errors import AnalysisError, TraceError
 
 
 def test_list_command(capsys):
@@ -56,6 +58,14 @@ def test_figure3_command(capsys):
     assert main(["figure3"]) == 0
     out = capsys.readouterr().out
     assert "Figure 3b" in out
+
+
+def test_figure3_rejects_scale(capsys):
+    """Figure 3 is a fixed program; a --scale would be silently ignored."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["figure3", "--scale", "2"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --scale" in capsys.readouterr().err
 
 
 def test_table1_command_small(capsys):
@@ -140,8 +150,8 @@ def test_record_default_output_name(capsys, tmp_path, monkeypatch):
 
 ALL_SUBCOMMANDS = (
     "list profile record replay speedup workflow view table1 table3 "
-    "table4 table5 figure2 figure3 figure6 casestudies stats trace health "
-    "lint trace-diff"
+    "table4 table5 figure2 figure3 figure6 casestudies stats trace lint "
+    "trace-diff"
 ).split()
 
 
@@ -165,11 +175,38 @@ def test_profile_rejects_non_finite_scale(capsys, scale):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_health_rejects_negative_chaos_seed(capsys):
-    assert main(["health", "rodinia/bfs", "--chaos", "--seed", "-1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("repro: error: seed must be a non-negative integer")
-    assert len(err.strip().splitlines()) == 1
+def test_repro_cli_one_line_error_on_repro_error(capsys):
+    code = main(["replay", "/no/such/file.vetrace"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("repro: error:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_repro_cli_debug_reraises():
+    with pytest.raises(TraceError):
+        main(["--debug", "replay", "/no/such/file.vetrace"])
+
+
+def test_tool_cli_one_line_error_on_repro_error(capsys, monkeypatch):
+    def boom(_args):
+        raise AnalysisError("synthetic failure")
+
+    monkeypatch.setattr(tool_cli, "_cmd_stats", boom)
+    code = tool_cli.main(["stats", "rodinia/bfs"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "repro: error: synthetic failure\n"
+
+
+def test_tool_cli_debug_reraises(monkeypatch):
+    def boom(_args):
+        raise AnalysisError("synthetic failure")
+
+    monkeypatch.setattr(tool_cli, "_cmd_stats", boom)
+    with pytest.raises(AnalysisError):
+        tool_cli.main(["--debug", "stats", "rodinia/bfs"])
+
 
 
 @pytest.fixture(scope="module")

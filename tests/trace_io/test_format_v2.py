@@ -3,8 +3,9 @@
 Covers the compact encoding (per-frame zlib, XOR delta of keyed
 payloads), version negotiation against v1, and the reader/writer
 regressions fixed alongside it: corrupt array descriptors surface as a
-salvageable :class:`TraceError` (never a raw numpy exception), and a
-closed writer reports its final file size instead of 0.
+:class:`TraceError` with the last good offset (never a raw numpy
+exception), and a closed writer reports its final file size instead
+of 0.
 """
 
 import json
@@ -33,8 +34,8 @@ def _path(tmp_path, name="t.vetrace"):
     return str(tmp_path / name)
 
 
-def _read_all(path, salvage=False):
-    with TraceReader(path, salvage=salvage) as reader:
+def _read_all(path):
+    with TraceReader(path) as reader:
         return list(reader.events())
 
 
@@ -186,23 +187,7 @@ def test_reader_names_supported_versions(tmp_path):
         TraceReader(path)
 
 
-def test_v2_trace_salvages_after_tear(tmp_path):
-    path = _path(tmp_path)
-    writer = TraceWriter(path)
-    snap = np.arange(2048, dtype=np.float32)
-    writer.write_event(EVENT_LAUNCH, {}, {"p0": snap}, delta_keys={"p0": "k"})
-    writer.write_event(EVENT_LAUNCH, {}, {"p0": snap}, delta_keys={"p0": "k"})
-    writer.tear()
-    with pytest.raises(TraceError, match="never closed"):
-        TraceReader(path)
-    with TraceReader(path, salvage=True) as reader:
-        assert reader.truncated
-        events = list(reader.events())
-    assert len(events) == 2
-    np.testing.assert_array_equal(events[1][2]["p0"], snap)
-
-
-# -- corrupt descriptors surface as salvageable TraceError -------------------
+# -- corrupt descriptors surface as TraceError --------------------------------
 
 
 def _corrupt_second_frame(tmp_path, mutate):
@@ -272,13 +257,6 @@ def test_closed_writer_reports_final_file_size(tmp_path):
     writer.close()
     assert writer.bytes_written == os.path.getsize(path)
     assert writer.bytes_written > 0
-
-
-def test_torn_writer_still_reports_zero(tmp_path):
-    writer = TraceWriter(_path(tmp_path))
-    writer.write_event(EVENT_MALLOC, {}, {})
-    writer.tear()
-    assert writer.bytes_written == 0
 
 
 # -- property: v2 round-trips exactly what v1 does ---------------------------
